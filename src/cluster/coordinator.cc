@@ -153,16 +153,8 @@ Coordinator::Coordinator(CoordinatorOptions options)
       registry_(options_.workers),
       ring_(options_.virtual_nodes),
       last_heartbeat_(std::chrono::steady_clock::now()) {
-  if (!options_.access_log_path.empty() || !options_.slow_log_path.empty()) {
-    AccessLog::Options log;
-    log.path = options_.access_log_path;
-    log.slow_path = options_.slow_log_path;
-    log.slow_threshold_ms = options_.slow_threshold_ms;
-    Status opened = access_log_.Open(log);
-    if (!opened.ok()) {
-      MIVID_LOG(Warn) << "access log disabled: " << opened.ToString();
-    }
-  }
+  access_log_.OpenOrWarn({options_.access_log_path, options_.slow_log_path,
+                          options_.slow_threshold_ms});
 }
 
 Coordinator::~Coordinator() { Stop(); }
@@ -274,54 +266,29 @@ std::string Coordinator::HandleLine(const std::string& line) {
     relay = &stamped;
   }
 
-  const bool audited = access_log_.enabled();
-  RequestAudit audit;
-  RequestAuditScope audit_scope(audited ? &audit : nullptr);
-  std::chrono::steady_clock::time_point started;
-  if (audited) started = std::chrono::steady_clock::now();
+  AccessEnvelope envelope(&access_log_);
+  RequestAuditScope audit_scope(envelope.audit());
 
   std::string response = Route(req, *relay, deadline);
 
-  if (audited) {
-    AccessRecord record;
-    record.role = "coordinator";
-    record.node = GetLogIdentity().empty() ? "coord" : GetLogIdentity();
-    record.cmd = ServeCmdWireName(req.cmd);
-    record.session = req.session_id;
-    record.engine = req.engine;
-    record.status = ResponseStatusCode(response);
-    record.trace_id =
-        span.active() ? span.context().trace_id : req.trace_id;
-    record.cameras = req.cameras;
-    if (record.cameras.empty() && !req.camera_id.empty()) {
-      record.cameras.push_back(req.camera_id);
-    }
-    // Session-addressed requests name no camera on the wire; recover the
-    // fan-out from the routed session so a slow multi-camera rank logs
-    // which corpora it touched. (The request is already answered — this
-    // lock is uncontended bookkeeping, and close has simply dropped the
-    // session, leaving the list empty.)
-    if ((record.cameras.empty() || record.engine.empty()) &&
-        !req.session_id.empty()) {
-      if (std::shared_ptr<CoordSession> session =
-              FindSession(req.session_id)) {
-        std::lock_guard<std::mutex> session_lock(session->mu);
-        if (record.engine.empty()) record.engine = session->engine;
-        if (record.cameras.empty()) {
+  // Session-addressed requests name no camera on the wire; recover the
+  // fan-out from the routed session so a slow multi-camera rank logs
+  // which corpora it touched. (The request is already answered — this
+  // lock is uncontended bookkeeping, and close has simply dropped the
+  // session, leaving the list empty.)
+  envelope.Write(
+      "coordinator", GetLogIdentity().empty() ? "coord" : GetLogIdentity(),
+      req, span, line, response, [this](const std::string& session_id) {
+        SessionIdentity identity;
+        if (std::shared_ptr<CoordSession> session = FindSession(session_id)) {
+          std::lock_guard<std::mutex> session_lock(session->mu);
+          identity.engine = session->engine;
           for (const SubSession& sub : session->subs) {
-            record.cameras.push_back(sub.camera);
+            identity.cameras.push_back(sub.camera);
           }
         }
-      }
-    }
-    record.bytes_in = line.size();
-    record.bytes_out = response.size();
-    record.total_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - started)
-                          .count();
-    record.audit = audit;
-    access_log_.Write(record);
-  }
+        return identity;
+      });
   return response;
 }
 

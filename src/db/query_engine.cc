@@ -1,5 +1,7 @@
 #include "db/query_engine.h"
 
+#include "mil/dataset.h"
+
 namespace mivid {
 
 ClipExtraction ExtractClip(const ClipRecord& record,
@@ -26,22 +28,12 @@ void AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
   FeedbackOracle oracle(&gt, options.relevant_types);
 
   for (const auto& vs : clip.windows) {
-    MilBag bag;
-    bag.id = *next_bag_id;
-    for (const auto& ts : vs.ts) {
-      MilInstance inst;
-      inst.bag_id = bag.id;
-      inst.instance_id = ts.track_id;
-      inst.features =
-          ts.Flatten(clip.scaler, options.features.include_velocity);
-      inst.raw_features = ts.FlattenRaw(options.features.include_velocity);
-      bag.instances.push_back(std::move(inst));
-    }
-    corpus->bag_refs[bag.id] =
+    const int id = (*next_bag_id)++;
+    corpus->bag_refs[id] =
         CorpusBagRef{clip.clip_id, vs.vs_id, vs.begin_frame, vs.end_frame};
-    corpus->truth[bag.id] = oracle.LabelFor(vs);
-    corpus->dataset.AddBag(std::move(bag));
-    ++(*next_bag_id);
+    corpus->truth[id] = oracle.LabelFor(vs);
+    corpus->dataset.AddBag(BuildBag(
+        vs, id, clip.scaler, options.features.include_velocity));
   }
 }
 

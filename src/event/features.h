@@ -13,6 +13,7 @@
 #ifndef MIVID_EVENT_FEATURES_H_
 #define MIVID_EVENT_FEATURES_H_
 
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -53,6 +54,17 @@ struct TrackFeatures {
   std::vector<SamplingPointFeatures> points;  ///< ascending frame order
 };
 
+/// The checkpoint kernel: the property vector of checkpoint `i` of track
+/// `track_id`, whose grid checkpoints so far are `checkpoints[0..i]`.
+/// `covisible` lists every eligible track (id, centroid) at that grid
+/// frame, the track itself included; mdist is the distance to the
+/// nearest other one. ComputeTrackFeatures and the streaming extractor
+/// (ingest/clip_extractor.h) both compute every checkpoint through it.
+SamplingPointFeatures CheckpointFeatures(
+    int track_id, const std::vector<TrackPoint>& checkpoints, size_t i,
+    const std::vector<std::pair<int, Point2>>& covisible,
+    const FeatureOptions& options);
+
 /// Computes checkpoint features for every track of a clip. Checkpoints lie
 /// on the shared grid (frame % sampling_rate == 0) so that mdist can relate
 /// co-occurring vehicles; tracks shorter than two checkpoints are dropped.
@@ -71,9 +83,14 @@ class FeatureScaler {
   static FeatureScaler Fit(const std::vector<TrackFeatures>& tracks,
                            bool include_velocity);
 
-  /// Builds a scaler from precomputed bounds (the incremental path:
-  /// event/window_agg.h maintains the same min/max by add/evict).
-  static FeatureScaler FromBounds(Vec lo, Vec hi);
+  /// Folds one raw vector into the running per-dimension [min, max]; the
+  /// first vector fixes the dimension. Fit and the streaming extractor
+  /// both build their scalers with it.
+  void Add(const Vec& raw);
+
+  /// Ends a fold: a scaler that saw no vector becomes the identity over
+  /// the nominal dimension (3, or 4 with include_velocity).
+  void Finish(bool include_velocity);
 
   /// Returns the normalized copy of a raw vector (clamped to [0, 1]).
   Vec Apply(const Vec& raw) const;

@@ -48,6 +48,38 @@ struct WindowOptions {
   bool keep_empty = false;  ///< keep VSs with no TS (default: drop)
 };
 
+/// The window slicer: the grid of windows over a clip's checkpoints and
+/// the rule that turns checkpoint features into a VS. ExtractWindows
+/// slices every window of a finished clip; the streaming extractor
+/// (ingest/clip_extractor.h) slices each window as its last grid frame
+/// commits.
+class WindowSlicer {
+ public:
+  WindowSlicer(const FeatureOptions& feature_options,
+               const WindowOptions& options);
+
+  /// Number of windows that fit a clip spanning [0, total_frames).
+  int WindowCount(int total_frames) const;
+
+  /// vs_id of the window whose last checkpoint is grid frame `end_frame`;
+  /// -1 when no window ends there.
+  int WindowEndingAt(int end_frame) const;
+
+  /// Slices window `vs_id` from `tracks` (in bag order) and appends it to
+  /// `out` unless it is empty and empty windows are dropped. A track
+  /// contributes a TS only if it has a checkpoint at every grid frame of
+  /// the window (the paper's TSs are "15 frames each"); each track's
+  /// points must be in ascending frame order.
+  void Slice(int vs_id, const std::vector<const TrackFeatures*>& tracks,
+             std::vector<VideoSequence>* out) const;
+
+ private:
+  int rate_;
+  int window_size_;
+  int step_;  ///< frames between consecutive window starts
+  bool keep_empty_;
+};
+
 /// Slides the window over the checkpoint grid of a clip spanning
 /// [0, total_frames) and collects VSs with their TSs. A track contributes
 /// a TS to a window only if it has a checkpoint at every grid frame of

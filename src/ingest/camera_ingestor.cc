@@ -8,6 +8,40 @@
 
 namespace mivid {
 
+namespace {
+
+/// Materialized windows the activity gauges look back over.
+constexpr size_t kActivityWindows = 64;
+
+}  // namespace
+
+RollingStats::RollingStats(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity)) {}
+
+void RollingStats::Observe(double value) {
+  if (values_.size() < capacity_) {
+    values_.push_back(value);
+    return;
+  }
+  values_[oldest_] = value;
+  oldest_ = (oldest_ + 1) % capacity_;
+}
+
+double RollingStats::Min() const {
+  return empty() ? 0.0 : *std::min_element(values_.begin(), values_.end());
+}
+
+double RollingStats::Max() const {
+  return empty() ? 0.0 : *std::max_element(values_.begin(), values_.end());
+}
+
+double RollingStats::Mean() const {
+  if (empty()) return 0.0;
+  double sum = 0.0;
+  for (double v : values_) sum += v;
+  return sum / values_.size();
+}
+
 CameraIngestor::CameraIngestor(std::string camera_id, VideoDb* db,
                                CorpusManager* corpora,
                                const IngestOptions& options)
@@ -17,7 +51,7 @@ CameraIngestor::CameraIngestor(std::string camera_id, VideoDb* db,
       options_(options),
       builder_(std::max(1, options.retire_after_frames)),
       extractor_(options.query.features, options.query.windows),
-      activity_(static_cast<size_t>(std::max(1, options.activity_window))) {}
+      activity_(kActivityWindows) {}
 
 Result<CameraIngestor::FrameResult> CameraIngestor::Observe(
     const FrameObservations& frame) {
@@ -155,8 +189,7 @@ Result<CameraIngestor::CutResult> CameraIngestor::CutLocked(
   MIVID_METRIC_COUNT("ingest/clips_cut", 1);
   MIVID_METRIC_COUNT("ingest/bags_staged", bags);
   MIVID_METRIC_GAUGE_SET("ingest/window_ts_mean", activity_.Mean());
-  MIVID_METRIC_GAUGE_SET("ingest/window_ts_max",
-                         activity_.empty() ? 0.0 : activity_.Max());
+  MIVID_METRIC_GAUGE_SET("ingest/window_ts_max", activity_.Max());
   return result;
 }
 
@@ -166,7 +199,7 @@ CameraIngestor::Stats CameraIngestor::stats() const {
   s.lag_frames = extractor_.lag_frames();
   s.live_tracks = builder_.live_count();
   s.window_ts_mean = activity_.Mean();
-  s.window_ts_max = activity_.empty() ? 0.0 : activity_.Max();
+  s.window_ts_max = activity_.Max();
   return s;
 }
 

@@ -24,12 +24,33 @@
 #include <vector>
 
 #include "db/video_db.h"
-#include "event/window_agg.h"
 #include "ingest/clip_extractor.h"
 #include "ingest/track_builder.h"
 #include "serve/corpus_manager.h"
 
 namespace mivid {
+
+/// Min/max/mean over the last `capacity` observations of one scalar
+/// series: the per-camera activity profile (TS count per materialized
+/// window) behind the ingest gauges. A fixed ring; the aggregates are
+/// recomputed on read, and the mean is exact for integer-valued series.
+class RollingStats {
+ public:
+  explicit RollingStats(size_t capacity);
+
+  void Observe(double value);
+
+  size_t size() const { return values_.size(); }
+  bool empty() const { return values_.empty(); }
+  double Min() const;   ///< 0 when empty
+  double Max() const;   ///< 0 when empty
+  double Mean() const;  ///< 0 when empty
+
+ private:
+  size_t capacity_;
+  std::vector<double> values_;
+  size_t oldest_ = 0;  ///< slot the next observation overwrites once full
+};
 
 class CameraIngestor {
  public:

@@ -1,7 +1,6 @@
 #include "ingest/clip_extractor.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
@@ -11,9 +10,7 @@ IncrementalClipExtractor::IncrementalClipExtractor(
     const FeatureOptions& features, const WindowOptions& windows)
     : features_(features),
       rate_(std::max(1, features.sampling_rate)),
-      wsize_(std::max(1, windows.window_size)),
-      stride_(std::max(1, windows.stride)),
-      keep_empty_(windows.keep_empty) {}
+      slicer_(features, windows) {}
 
 void IncrementalClipExtractor::Observe(
     int frame, const std::vector<TrackObservation>& obs) {
@@ -26,8 +23,10 @@ void IncrementalClipExtractor::Observe(
     for (const auto& o : obs) {
       TrackState& s = tracks_[o.track_id];
       if (s.retired) continue;  // late observation, dropped upstream too
-      if (s.ordinal_by_frame.count(frame) != 0) continue;  // duplicate
-      s.ordinal_by_frame[frame] = s.checkpoints.size();
+      if (!s.checkpoints.empty() && s.checkpoints.back().frame == frame) {
+        continue;  // duplicate
+      }
+      s.features.track_id = o.track_id;
       s.checkpoints.push_back(TrackPoint{frame, o.centroid, o.bbox});
       tracks_at_grid_[frame].push_back(o.track_id);
     }
@@ -56,107 +55,40 @@ void IncrementalClipExtractor::AdvanceWatermark() {
 }
 
 void IncrementalClipExtractor::CommitGrid(int g) {
-  // Eligible tracks at g, ascending id (the final track order — the
-  // builder finishes tracks in id order, so this matches the batch
-  // `sampled` iteration order).
-  std::vector<int> eligible;
+  // Eligible tracks at g with their centroids, ascending id (the final
+  // track order — the builder finishes tracks in id order, so this
+  // matches the batch track order). Every earlier checkpoint of an
+  // eligible track is already committed, so its checkpoint at g is the
+  // next one.
+  std::vector<std::pair<int, Point2>> covisible;
   auto it = tracks_at_grid_.find(g);
   if (it != tracks_at_grid_.end()) {
     for (int id : it->second) {
-      if (tracks_.at(id).checkpoints.size() >= 2) eligible.push_back(id);
+      const TrackState& s = tracks_.at(id);
+      if (s.checkpoints.size() < 2) continue;
+      const TrackPoint& cp = s.checkpoints[s.features.points.size()];
+      MIVID_CHECK(cp.frame == g)
+          << "checkpoint committed out of order for track " << id;
+      covisible.emplace_back(id, cp.centroid);
     }
-    std::sort(eligible.begin(), eligible.end());
+    std::sort(covisible.begin(), covisible.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
-  for (int id : eligible) {
+  std::vector<const TrackFeatures*> bag_order;
+  bag_order.reserve(covisible.size());
+  for (const auto& [id, centroid] : covisible) {
     TrackState& s = tracks_.at(id);
-    const size_t i = s.ordinal_by_frame.at(g);
-    MIVID_CHECK(i == s.feats.size())
-        << "checkpoint committed out of order for track " << id;
-    const std::vector<TrackPoint>& cp = s.checkpoints;
-
-    // Same arithmetic as ComputeTrackFeatures (event/features.cc).
-    SamplingPointFeatures f;
-    f.frame = g;
-    f.centroid = cp[i].centroid;
-    if (i >= 1) {
-      const int dt = cp[i].frame - cp[i - 1].frame;
-      f.speed =
-          Distance(cp[i].centroid, cp[i - 1].centroid) / std::max(1, dt);
-    }
-    if (i >= 2) {
-      const int dt_prev = cp[i - 1].frame - cp[i - 2].frame;
-      const double prev_speed =
-          Distance(cp[i - 1].centroid, cp[i - 2].centroid) /
-          std::max(1, dt_prev);
-      f.vdiff = std::fabs(f.speed - prev_speed);
-      const Vec2 m1 = cp[i - 1].centroid - cp[i - 2].centroid;
-      const Vec2 m2 = cp[i].centroid - cp[i - 1].centroid;
-      f.theta = m1.Norm() >= features_.min_motion &&
-                        m2.Norm() >= features_.min_motion
-                    ? AngleBetween(m1, m2)
-                    : 0.0;
-    }
-
-    double mdist = -1.0;
-    for (int other : eligible) {
-      if (other == id) continue;
-      const double d =
-          Distance(f.centroid, tracks_.at(other).checkpoints
-                                   [tracks_.at(other).ordinal_by_frame.at(g)]
-                                       .centroid);
-      if (mdist < 0 || d < mdist) mdist = d;
-    }
-    f.inv_mdist =
-        mdist < 0 ? 0.0 : 1.0 / std::max(mdist, features_.min_mdist);
-
-    s.feats.push_back(f);
-    scaler_agg_.Add(f.ToVector(features_.include_velocity));
+    const SamplingPointFeatures f = CheckpointFeatures(
+        id, s.checkpoints, s.features.points.size(), covisible, features_);
+    scaler_.Add(f.ToVector(features_.include_velocity));
+    s.features.points.push_back(f);
+    bag_order.push_back(&s.features);
   }
 
-  MaterializeWindow(g);
+  const int vs_id = slicer_.WindowEndingAt(g);
+  if (vs_id >= 0) slicer_.Slice(vs_id, bag_order, &windows_);
   tracks_at_grid_.erase(g);
-}
-
-void IncrementalClipExtractor::MaterializeWindow(int end_grid) {
-  const int span = (wsize_ - 1) * rate_;
-  const int start = end_grid - span;
-  if (start < 0 || start % (stride_ * rate_) != 0) return;
-
-  VideoSequence vs;
-  vs.vs_id = start / (stride_ * rate_);
-  vs.begin_frame = start;
-  vs.end_frame = end_grid;
-
-  // Candidates must have a checkpoint at the end grid; walk them in id
-  // order to reproduce the batch TS order within the bag.
-  std::vector<int> candidates;
-  auto it = tracks_at_grid_.find(end_grid);
-  if (it != tracks_at_grid_.end()) {
-    for (int id : it->second) {
-      if (tracks_.at(id).checkpoints.size() >= 2) candidates.push_back(id);
-    }
-    std::sort(candidates.begin(), candidates.end());
-  }
-
-  for (int id : candidates) {
-    const TrackState& s = tracks_.at(id);
-    TrajectorySequence ts;
-    ts.track_id = id;
-    ts.vs_id = vs.vs_id;
-    bool complete = true;
-    for (int k = 0; k < wsize_; ++k) {
-      auto ord = s.ordinal_by_frame.find(start + k * rate_);
-      if (ord == s.ordinal_by_frame.end()) {
-        complete = false;
-        break;
-      }
-      ts.points.push_back(s.feats[ord->second]);
-    }
-    if (complete) vs.ts.push_back(std::move(ts));
-  }
-
-  if (!vs.ts.empty() || keep_empty_) windows_.push_back(std::move(vs));
 }
 
 IncrementalClipExtractor::Output IncrementalClipExtractor::Finish(
@@ -171,13 +103,13 @@ IncrementalClipExtractor::Output IncrementalClipExtractor::Finish(
 
   Output out;
   out.windows = std::move(windows_);
-  out.scaler =
-      scaler_agg_.Scaler(features_.include_velocity ? 4 : 3);
+  scaler_.Finish(features_.include_velocity);
+  out.scaler = std::move(scaler_);
 
   tracks_.clear();
   tracks_at_grid_.clear();
   windows_.clear();
-  scaler_agg_ = ScalerAgg();
+  scaler_ = FeatureScaler();
   current_frame_ = -1;
   next_grid_ = 0;
   return out;

@@ -1,6 +1,8 @@
-// IncrementalClipExtractor: streaming feature/window extraction that is
-// bit-identical to the batch pipeline (event/features.h +
-// event/sliding_window.h) over the same clip.
+// IncrementalClipExtractor: the streaming driver of the extraction
+// pipeline. It computes checkpoints with the same kernel, slices windows
+// with the same slicer and folds the scaler with the same min/max as the
+// batch driver (event/features.h + event/sliding_window.h); what it adds
+// is deciding when each grid frame's inputs are final.
 //
 // The batch pipeline has two places where a checkpoint's value depends
 // on the *future* of the clip:
@@ -18,10 +20,10 @@
 // forever if it had fewer than two). Commit lag is therefore bounded
 // by sampling_rate + retire_after_frames. Windows materialize when
 // their last grid frame commits, carrying raw (unnormalized) features.
-// (2) is solved by keeping features raw until the clip is cut: the
-// scaler's per-dimension min/max are maintained incrementally by an
-// exact add-only sliding aggregate (event/window_agg.h), and the
-// ingestor normalizes bags at cut with the final scaler.
+// (2) is solved by keeping features raw until the clip is cut: every
+// committed checkpoint is folded into a running per-dimension min/max
+// (FeatureScaler::Add), and the ingestor normalizes bags at cut with
+// the final scaler.
 //
 // tests/ingest_test.cc asserts the streamed windows and scaler equal
 // the batch extraction bitwise on simulated scenarios.
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "event/sliding_window.h"
-#include "event/window_agg.h"
 #include "ingest/stream_types.h"
 
 namespace mivid {
@@ -76,9 +77,8 @@ class IncrementalClipExtractor {
 
  private:
   struct TrackState {
-    std::vector<TrackPoint> checkpoints;        ///< raw grid observations
-    std::vector<SamplingPointFeatures> feats;   ///< committed features
-    std::map<int, size_t> ordinal_by_frame;     ///< grid frame -> ordinal
+    std::vector<TrackPoint> checkpoints;  ///< raw grid observations
+    TrackFeatures features;               ///< committed checkpoints
     bool retired = false;
   };
 
@@ -88,14 +88,13 @@ class IncrementalClipExtractor {
 
   /// Commits every grid frame whose tracks are all resolved.
   void AdvanceWatermark();
+  /// Computes every eligible track's checkpoint at `g` and slices the
+  /// window ending at `g`, if any.
   void CommitGrid(int g);
-  void MaterializeWindow(int end_grid);
 
   const FeatureOptions features_;
   const int rate_;
-  const int wsize_;
-  const int stride_;
-  const bool keep_empty_;
+  const WindowSlicer slicer_;
 
   int current_frame_ = -1;
   int next_grid_ = 0;
@@ -104,7 +103,7 @@ class IncrementalClipExtractor {
   std::map<int, std::vector<int>> tracks_at_grid_;
 
   std::vector<VideoSequence> windows_;
-  ScalerAgg scaler_agg_;
+  FeatureScaler scaler_;
 };
 
 }  // namespace mivid

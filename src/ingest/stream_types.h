@@ -47,10 +47,6 @@ struct IngestOptions {
   /// Auto-cut the stream into clips of this many frames; <= 0 means
   /// clips end only on explicit Cut() (the `ingest` command's "cut").
   int clip_frames = 0;
-
-  /// Rolling activity profile depth (materialized windows) for the
-  /// ingest gauges; see event/window_agg.h RollingStats.
-  int activity_window = 64;
 };
 
 }  // namespace mivid

@@ -4,22 +4,27 @@
 
 namespace mivid {
 
+MilBag BuildBag(const VideoSequence& vs, int bag_id,
+                const FeatureScaler& scaler, bool include_velocity) {
+  MilBag bag;
+  bag.id = bag_id;
+  for (const auto& ts : vs.ts) {
+    MilInstance inst;
+    inst.bag_id = bag_id;
+    inst.instance_id = ts.track_id;
+    inst.features = ts.Flatten(scaler, include_velocity);
+    inst.raw_features = ts.FlattenRaw(include_velocity);
+    bag.instances.push_back(std::move(inst));
+  }
+  return bag;
+}
+
 MilDataset MilDataset::FromVideoSequences(
     const std::vector<VideoSequence>& windows, const FeatureScaler& scaler,
     bool include_velocity) {
   MilDataset ds;
   for (const auto& vs : windows) {
-    MilBag bag;
-    bag.id = vs.vs_id;
-    for (const auto& ts : vs.ts) {
-      MilInstance inst;
-      inst.bag_id = vs.vs_id;
-      inst.instance_id = ts.track_id;
-      inst.features = ts.Flatten(scaler, include_velocity);
-      inst.raw_features = ts.FlattenRaw(include_velocity);
-      bag.instances.push_back(std::move(inst));
-    }
-    ds.AddBag(std::move(bag));
+    ds.AddBag(BuildBag(vs, vs.vs_id, scaler, include_velocity));
   }
   return ds;
 }

@@ -13,6 +13,13 @@
 
 namespace mivid {
 
+/// The bag builder: one bag per VS, one instance per TS carrying the
+/// flattened normalized and raw feature vectors, with the bag id chosen
+/// by the caller. MilDataset::FromVideoSequences (ids = vs ids) and
+/// AppendClipBags (dense corpus ids) both build bags with it.
+MilBag BuildBag(const VideoSequence& vs, int bag_id,
+                const FeatureScaler& scaler, bool include_velocity);
+
 /// Owns the bags of one corpus (one clip, or one camera's clips) and
 /// tracks their feedback labels across relevance-feedback rounds.
 class MilDataset {

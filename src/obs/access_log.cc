@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/json.h"
+#include "obs/trace.h"
+#include "serve/protocol.h"
 
 namespace mivid {
 
@@ -115,6 +118,13 @@ Status AccessLog::Open(const Options& options) {
   return Status::OK();
 }
 
+void AccessLog::OpenOrWarn(const Options& options) {
+  Status opened = Open(options);
+  if (!opened.ok()) {
+    MIVID_LOG(Warn) << "access log disabled: " << opened.ToString();
+  }
+}
+
 void AccessLog::AppendLine(Sink* sink, const std::string& line) {
   if (sink->file == nullptr) return;
   if (sink->bytes + line.size() > rotate_bytes_ && sink->bytes > 0) {
@@ -150,6 +160,48 @@ void AccessLog::Close() {
   access_ = Sink{};
   slow_ = Sink{};
   enabled_ = false;
+}
+
+AccessEnvelope::AccessEnvelope(AccessLog* log)
+    : log_(log->enabled() ? log : nullptr) {
+  if (log_ != nullptr) start_ = std::chrono::steady_clock::now();
+}
+
+void AccessEnvelope::Write(
+    const char* role, const std::string& node, const ServeRequest& req,
+    const ContextSpan& span, const std::string& line,
+    const std::string& response,
+    const std::function<SessionIdentity(const std::string&)>&
+        resolve_session) {
+  if (log_ == nullptr) return;
+  AccessRecord record;
+  record.role = role;
+  record.node = node;
+  record.cmd = ServeCmdWireName(req.cmd);
+  record.session = req.session_id;
+  record.engine = req.engine;
+  record.status = ResponseStatusCode(response);
+  record.trace_id = span.active() ? span.context().trace_id : req.trace_id;
+  record.cameras = req.cameras;
+  if (record.cameras.empty() && !req.camera_id.empty()) {
+    record.cameras.push_back(req.camera_id);
+  }
+  // Session-addressed requests (rank, feedback, ...) name no camera on
+  // the wire; resolve it from the live session so the log can answer
+  // "which corpus was this slow query against" on its own.
+  if ((record.cameras.empty() || record.engine.empty()) &&
+      !req.session_id.empty()) {
+    SessionIdentity session = resolve_session(req.session_id);
+    if (record.cameras.empty()) record.cameras = std::move(session.cameras);
+    if (record.engine.empty()) record.engine = std::move(session.engine);
+  }
+  record.bytes_in = line.size();
+  record.bytes_out = response.size();
+  record.total_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
+  record.audit = audit_;
+  log_->Write(record);
 }
 
 }  // namespace mivid

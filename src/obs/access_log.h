@@ -29,8 +29,10 @@
 #ifndef MIVID_OBS_ACCESS_LOG_H_
 #define MIVID_OBS_ACCESS_LOG_H_
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -38,6 +40,9 @@
 #include "common/status.h"
 
 namespace mivid {
+
+class ContextSpan;    // obs/trace.h
+struct ServeRequest;  // serve/protocol.h
 
 /// Latency breakdown of one request, filled by phase timers as the
 /// request moves through the stack. All times in milliseconds.
@@ -127,6 +132,10 @@ class AccessLog {
   /// leaves the log disabled and Write a no-op.
   Status Open(const Options& options);
 
+  /// Open for daemons: a file that cannot be opened leaves the log
+  /// disabled with a warning, so the daemon still serves.
+  void OpenOrWarn(const Options& options);
+
   /// True when at least one of the two logs is open.
   bool enabled() const { return enabled_; }
 
@@ -158,6 +167,44 @@ class AccessLog {
   size_t rotate_bytes_ = 64u << 20;
   double slow_threshold_ms_ = 500.0;
   bool enabled_ = false;
+};
+
+/// A session-addressed request's cameras and engine, read from the
+/// daemon's live session state (the wire names neither).
+struct SessionIdentity {
+  std::vector<std::string> cameras;
+  std::string engine;
+};
+
+/// The access-log envelope both daemons wrap around one parsed request:
+/// it starts the clock, owns the audit the phase timers fill, and writes
+/// the request's line once the response is built. Inert (no clock read)
+/// when the log is disabled.
+class AccessEnvelope {
+ public:
+  explicit AccessEnvelope(AccessLog* log);
+
+  AccessEnvelope(const AccessEnvelope&) = delete;
+  AccessEnvelope& operator=(const AccessEnvelope&) = delete;
+
+  /// The audit to install for the request; nullptr when not logging.
+  RequestAudit* audit() { return log_ != nullptr ? &audit_ : nullptr; }
+
+  /// Writes the line for `req`, received as `line` and answered by
+  /// `response`, under the daemon's `role` and `node`. The trace id is
+  /// the request span's (or the wire's when tracing is off). When the
+  /// request names no camera or engine and addresses a session,
+  /// `resolve_session` fills the missing ones.
+  void Write(const char* role, const std::string& node,
+             const ServeRequest& req, const ContextSpan& span,
+             const std::string& line, const std::string& response,
+             const std::function<SessionIdentity(const std::string&)>&
+                 resolve_session);
+
+ private:
+  AccessLog* log_;  ///< null when the log is disabled
+  RequestAudit audit_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace mivid

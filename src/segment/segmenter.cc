@@ -10,33 +10,6 @@ namespace mivid {
 VehicleSegmenter::VehicleSegmenter(SegmenterOptions options)
     : options_(options), background_(options.background) {}
 
-namespace {
-
-/// The pure back half shared by Refine and Process: SPCPE refinement,
-/// morphological cleanup, blob extraction.
-std::vector<Blob> RefineFrame(const Frame& frame, const Mask& subtraction,
-                              double bg_mean, const SegmenterOptions& options) {
-  MIVID_TRACE_SPAN("segment/refine");
-  MIVID_SCOPED_TIMER("segment/frame_seconds");
-  Mask mask = subtraction;
-  if (options.use_spcpe) {
-    // Refine the candidate foreground: SPCPE separates true vehicle pixels
-    // from background clutter that leaked through the threshold.
-    SpcpeResult refined = RunSpcpe(frame, &mask, bg_mean, options.spcpe);
-    mask = std::move(refined.partition);
-  }
-  if (options.clean_iterations > 0) {
-    mask = CleanMask(mask, frame.width(), frame.height(),
-                     options.clean_iterations);
-  }
-  std::vector<Blob> blobs = ExtractBlobs(mask, frame, options.blob);
-  MIVID_METRIC_COUNT("segment/frames", 1);
-  MIVID_METRIC_COUNT("segment/blobs", blobs.size());
-  return blobs;
-}
-
-}  // namespace
-
 PendingSegmentation VehicleSegmenter::Ingest(Frame frame) {
   background_.Update(frame);
   PendingSegmentation pending;
@@ -53,18 +26,28 @@ PendingSegmentation VehicleSegmenter::Ingest(Frame frame) {
 std::vector<Blob> VehicleSegmenter::Refine(const PendingSegmentation& pending,
                                            const SegmenterOptions& options) {
   if (!pending.ready) return {};
-  return RefineFrame(pending.frame, pending.mask, pending.bg_mean, options);
+  MIVID_TRACE_SPAN("segment/refine");
+  MIVID_SCOPED_TIMER("segment/frame_seconds");
+  Mask mask = pending.mask;
+  if (options.use_spcpe) {
+    // Refine the candidate foreground: SPCPE separates true vehicle pixels
+    // from background clutter that leaked through the threshold.
+    SpcpeResult refined =
+        RunSpcpe(pending.frame, &mask, pending.bg_mean, options.spcpe);
+    mask = std::move(refined.partition);
+  }
+  if (options.clean_iterations > 0) {
+    mask = CleanMask(mask, pending.frame.width(), pending.frame.height(),
+                     options.clean_iterations);
+  }
+  std::vector<Blob> blobs = ExtractBlobs(mask, pending.frame, options.blob);
+  MIVID_METRIC_COUNT("segment/frames", 1);
+  MIVID_METRIC_COUNT("segment/blobs", blobs.size());
+  return blobs;
 }
 
 std::vector<Blob> VehicleSegmenter::Process(const Frame& frame) {
-  // Same pipeline as Refine(Ingest(frame)) but without buffering the
-  // frame, so serial per-frame callers pay no copy.
-  background_.Update(frame);
-  if (!background_.Ready()) return {};
-  const Mask mask = background_.Subtract(frame);
-  const double bg_mean =
-      options_.use_spcpe ? background_.BackgroundFrame().MeanIntensity() : -1.0;
-  return RefineFrame(frame, mask, bg_mean, options_);
+  return Refine(Ingest(frame), options_);
 }
 
 }  // namespace mivid

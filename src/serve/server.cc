@@ -139,16 +139,8 @@ RetrievalServer::RetrievalServer(VideoDb* db, ServeOptions options)
                                       options_.max_sessions,
                                       options_.idle_timeout_ms,
                                       options_.top_n}) {
-  if (!options_.access_log_path.empty() || !options_.slow_log_path.empty()) {
-    AccessLog::Options log;
-    log.path = options_.access_log_path;
-    log.slow_path = options_.slow_log_path;
-    log.slow_threshold_ms = options_.slow_threshold_ms;
-    Status opened = access_log_.Open(log);
-    if (!opened.ok()) {
-      MIVID_LOG(Warn) << "access log disabled: " << opened.message();
-    }
-  }
+  access_log_.OpenOrWarn({options_.access_log_path, options_.slow_log_path,
+                          options_.slow_threshold_ms});
 }
 
 RetrievalServer::~RetrievalServer() { Stop(); }
@@ -175,10 +167,7 @@ std::string RetrievalServer::HandleLine(const std::string& line) {
 
   // The audit (latency breakdown) only runs when an access log is
   // configured; disabled it costs one bool read and no clock reads.
-  const bool audited = access_log_.enabled();
-  RequestAudit audit;
-  std::chrono::steady_clock::time_point audit_start;
-  if (audited) audit_start = std::chrono::steady_clock::now();
+  AccessEnvelope envelope(&access_log_);
 
   // Bounded admission: hold one in-flight slot for the request lifetime,
   // or reject right away so callers see backpressure instead of latency.
@@ -195,49 +184,25 @@ std::string RetrievalServer::HandleLine(const std::string& line) {
         " in flight); retry later"));
   } else {
     if (options_.admission_hook) options_.admission_hook(req);
-    response = Dispatch(req, audited ? &audit : nullptr, arrival);
+    response = Dispatch(req, envelope.audit(), arrival);
     served_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (audited) {
-    AccessRecord record;
-    record.role = "worker";
-    record.node = options_.worker_id.empty() ? "serve" : options_.worker_id;
-    record.cmd = ServeCmdWireName(req.cmd);
-    record.session = req.session_id;
-    record.engine = req.engine;
-    record.status = ResponseStatusCode(response);
-    record.trace_id =
-        span.active() ? span.context().trace_id : req.trace_id;
-    record.cameras = req.cameras;
-    if (record.cameras.empty() && !req.camera_id.empty()) {
-      record.cameras.push_back(req.camera_id);
-    }
-    // Session-addressed requests (rank, feedback, ...) name no camera on
-    // the wire; resolve it from the live session so the log can answer
-    // "which corpus was this slow query against" on its own. camera_id
-    // and engine are immutable after Build, so reading them without the
-    // session mutex is safe.
-    if ((record.cameras.empty() || record.engine.empty()) &&
-        !req.session_id.empty()) {
-      Result<std::shared_ptr<ServeSession>> live =
-          sessions_.Get(req.session_id);
-      if (live.ok()) {
-        if (record.cameras.empty() && !live.value()->camera_id.empty()) {
-          record.cameras.push_back(live.value()->camera_id);
+  // camera_id and engine are immutable after Build, so reading them
+  // without the session mutex is safe.
+  envelope.Write(
+      "worker", options_.worker_id.empty() ? "serve" : options_.worker_id, req,
+      span, line, response, [this](const std::string& session_id) {
+        SessionIdentity identity;
+        Result<std::shared_ptr<ServeSession>> live = sessions_.Get(session_id);
+        if (live.ok()) {
+          if (!live.value()->camera_id.empty()) {
+            identity.cameras.push_back(live.value()->camera_id);
+          }
+          identity.engine = live.value()->engine;
         }
-        if (record.engine.empty()) record.engine = live.value()->engine;
-      }
-    }
-    record.bytes_in = line.size();
-    record.bytes_out = response.size();
-    record.total_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - audit_start)
-            .count();
-    record.audit = audit;
-    access_log_.Write(record);
-  }
+        return identity;
+      });
   // worker.reply.truncate hands the client half a response line — the
   // shape of a worker dying mid-write — to exercise the coordinator's
   // malformed-reply handling.

@@ -1,12 +1,10 @@
-// Tests for retrieval/active_selection and svm/model_selection.
+// Tests for retrieval/active_selection.
 
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "retrieval/active_selection.h"
-#include "svm/model_selection.h"
 
 namespace mivid {
 namespace {
@@ -79,59 +77,6 @@ TEST(ActiveSelectionTest, BackfillsWhenUnlabeledScarce) {
   EXPECT_EQ(sel.size(), 4u);  // labeled bags backfill rather than shorting
   const std::set<int> unique(sel.begin(), sel.end());
   EXPECT_EQ(unique.size(), 4u);
-}
-
-std::vector<std::vector<Vec>> PositiveGroups(int groups, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<Vec>> out;
-  for (int g = 0; g < groups; ++g) {
-    std::vector<Vec> group;
-    const int n = 2 + static_cast<int>(rng.UniformInt(0, 2));
-    for (int i = 0; i < n; ++i) {
-      group.push_back({0.7 + rng.Gaussian(0, 0.05),
-                       0.6 + rng.Gaussian(0, 0.05)});
-    }
-    out.push_back(std::move(group));
-  }
-  return out;
-}
-
-TEST(GridSearchTest, PrefersConfigurationsThatSeparate) {
-  Rng rng(17);
-  std::vector<Vec> background;
-  for (int i = 0; i < 60; ++i) {
-    background.push_back({std::fabs(rng.Gaussian(0.05, 0.05)),
-                          std::fabs(rng.Gaussian(0.05, 0.05))});
-  }
-  Result<std::vector<OneClassCandidate>> grid =
-      GridSearchOneClass(PositiveGroups(6, 3), background);
-  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
-  ASSERT_FALSE(grid->empty());
-  const OneClassCandidate& best = grid->front();
-  // A good configuration accepts most held-out positives and almost no
-  // background.
-  EXPECT_GT(best.holdout_acceptance, 0.6);
-  EXPECT_LT(best.background_acceptance, 0.2);
-  EXPECT_GT(best.score, 0.5);
-  // Sorted descending by score.
-  for (size_t i = 1; i < grid->size(); ++i) {
-    EXPECT_GE((*grid)[i - 1].score, (*grid)[i].score);
-  }
-}
-
-TEST(GridSearchTest, RejectsDegenerateInput) {
-  EXPECT_FALSE(GridSearchOneClass({}, {}).ok());
-  EXPECT_FALSE(GridSearchOneClass({{{1.0}}}, {}).ok());     // one group
-  EXPECT_FALSE(GridSearchOneClass({{{1.0}}, {}}, {}).ok()); // empty group
-}
-
-TEST(GridSearchTest, WorksWithoutBackgroundSample) {
-  Result<std::vector<OneClassCandidate>> grid =
-      GridSearchOneClass(PositiveGroups(4, 5), {});
-  ASSERT_TRUE(grid.ok());
-  for (const auto& c : *grid) {
-    EXPECT_DOUBLE_EQ(c.background_acceptance, 0.0);
-  }
 }
 
 }  // namespace

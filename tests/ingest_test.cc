@@ -218,6 +218,14 @@ TEST(IncrementalExtractorTest, MatchesBatchBitwiseWithVelocity) {
   RunExtractorVsBatch(features, windows);
 }
 
+TEST(IncrementalExtractorTest, MatchesBatchBitwiseKeepingEmptyWindows) {
+  // Empty windows are decided by the shared slicer in both drivers; this
+  // clip keeps 17 empty windows of 33.
+  WindowOptions windows;
+  windows.keep_empty = true;
+  RunExtractorVsBatch(FeatureOptions{}, windows);
+}
+
 TEST(IncrementalExtractorTest, MidStreamRetirementMatchesBatch) {
   // Retiring tracks as a LiveTrackBuilder would (as soon as their last
   // observation ages out) must not change the output: retirement only
@@ -240,6 +248,26 @@ TEST(IncrementalExtractorTest, MidStreamRetirementMatchesBatch) {
   }
   IncrementalClipExtractor::Output out = extractor.Finish(gt.total_frames);
   ExpectWindowsBitIdentical(out.windows, batch_windows);
+}
+
+// ---------------------------------------------------------------------------
+// RollingStats (the ingest activity gauges)
+
+TEST(RollingStatsTest, TracksLastCapacityObservations) {
+  RollingStats stats(4);
+  EXPECT_TRUE(stats.empty());
+  EXPECT_EQ(stats.Mean(), 0.0);
+  for (double v : {1.0, 2.0, 3.0, 4.0}) stats.Observe(v);
+  EXPECT_EQ(stats.size(), 4u);
+  EXPECT_EQ(stats.Min(), 1.0);
+  EXPECT_EQ(stats.Max(), 4.0);
+  EXPECT_EQ(stats.Mean(), 2.5);
+  // A fifth observation evicts the oldest (1.0).
+  stats.Observe(10.0);
+  EXPECT_EQ(stats.size(), 4u);
+  EXPECT_EQ(stats.Min(), 2.0);
+  EXPECT_EQ(stats.Max(), 10.0);
+  EXPECT_EQ(stats.Mean(), (2.0 + 3.0 + 4.0 + 10.0) / 4);
 }
 
 // ---------------------------------------------------------------------------
