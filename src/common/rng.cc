@@ -14,25 +14,11 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t x = seed;
   for (auto& s : s_) s = SplitMix64(&x);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::Uniform() {
@@ -60,14 +46,16 @@ double Rng::Gaussian() {
     return cached_gaussian_;
   }
   double u1, u2;
-  do {
-    u1 = Uniform();
-  } while (u1 <= 1e-300);
-  u2 = Uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  cached_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
+  GaussianUniforms(&u1, &u2);
+  const std::pair<double, double> pair = BoxMuller(u1, u2);
+  cached_gaussian_ = pair.second;
   has_cached_gaussian_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
+  return pair.first;
+}
+
+std::pair<double, double> BoxMuller(double u1, double u2) {
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  return {mag * std::cos(2.0 * M_PI * u2), mag * std::sin(2.0 * M_PI * u2)};
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }

@@ -23,7 +23,17 @@ class Rng {
   explicit Rng(uint64_t seed = 42);
 
   /// Next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double Uniform();
@@ -36,6 +46,24 @@ class Rng {
 
   /// Standard normal via Box-Muller (cached second value).
   double Gaussian();
+
+  /// True when the next Gaussian() returns the cached second value of
+  /// the last pair instead of drawing a new one.
+  bool HasCachedGaussian() const { return has_cached_gaussian_; }
+
+  /// Draws the uniforms of the next Box-Muller pair exactly as Gaussian()
+  /// does: u1 in (0, 1), redrawn while u1 <= 1e-300 (which happens exactly
+  /// when Next() >> 11 == 0), then u2 in [0, 1). Bulk consumers (the SIMD
+  /// noise kernel) transform them with BoxMuller themselves; the cached
+  /// second value is left untouched.
+  void GaussianUniforms(double* u1, double* u2) {
+    uint64_t k1 = 0;
+    do {
+      k1 = Next() >> 11;
+    } while (k1 == 0);
+    *u1 = static_cast<double>(k1) * 0x1.0p-53;
+    *u2 = static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) {
@@ -58,10 +86,20 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
+
+/// The two normals of one Box-Muller pair: `first` = mag * cos(2 pi u2) is
+/// what Gaussian() returns, `second` = mag * sin(2 pi u2) what it caches,
+/// with mag = sqrt(-2 log u1). The one exact implementation: Gaussian()
+/// and the SIMD noise kernel's fallback both call it.
+std::pair<double, double> BoxMuller(double u1, double u2);
 
 }  // namespace mivid
 

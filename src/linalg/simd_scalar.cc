@@ -10,7 +10,10 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/rng.h"
+#include "linalg/background_kernel.h"
 #include "linalg/det_exp_constants.h"
+#include "linalg/noise_kernel.h"
 #include "linalg/simd.h"
 
 namespace mivid {
@@ -79,6 +82,31 @@ void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   for (size_t j = 0; j < count; ++j) out[j] = DetExpImpl(ng * d2[j]);
 }
 
+size_t NoisyPairsU8(const double* u1, const double* u2, size_t pairs,
+                    double offset, double sigma, uint8_t* px) {
+  for (size_t j = 0; j < pairs; ++j) {
+    const std::pair<double, double> g = BoxMuller(u1[j], u2[j]);
+    px[2 * j] = noise_kernel::NoisyPixel(px[2 * j], offset, sigma, g.first);
+    px[2 * j + 1] =
+        noise_kernel::NoisyPixel(px[2 * j + 1], offset, sigma, g.second);
+  }
+  return 0;
+}
+
+uint64_t BackgroundPass(const uint8_t* px, size_t count, bool warmup,
+                        double n, double rate, double threshold, double* mean,
+                        uint8_t* mask) {
+  using namespace background_kernel;
+  uint64_t sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    mean[i] = warmup ? WarmupMean(mean[i], px[i], n)
+                     : SelectiveEma(mean[i], px[i], rate, threshold);
+    mask[i] = IsForeground(px[i], mean[i], threshold);
+    sum += Quantize(mean[i]);
+  }
+  return sum;
+}
+
 }  // namespace
 
 double DetExp(double x) { return DetExpImpl(x); }
@@ -87,6 +115,7 @@ namespace simd_internal {
 
 const SimdOpsTable kScalarOps = {
     ExpandedD2Row, DirectD2Row, DotRow, Axpy, AxpyDiff, RbfFromD2Row,
+    NoisyPairsU8, BackgroundPass,
 };
 
 }  // namespace simd_internal

@@ -1,16 +1,22 @@
 #include "segment/background.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
+#include "linalg/background_kernel.h"
+#include "linalg/simd.h"
 
 namespace mivid {
+
+using background_kernel::IsForeground;
+using background_kernel::Quantize;
+using background_kernel::SelectiveEma;
+using background_kernel::WarmupMean;
 
 BackgroundModel::BackgroundModel(BackgroundOptions options)
     : options_(options) {}
 
-void BackgroundModel::Update(const Frame& frame) {
+void BackgroundModel::Adopt(const Frame& frame) {
   if (frames_seen_ == 0) {
     width_ = frame.width();
     height_ = frame.height();
@@ -18,7 +24,10 @@ void BackgroundModel::Update(const Frame& frame) {
   }
   MIVID_CHECK(frame.width() == width_ && frame.height() == height_)
       << "frame size changed mid-stream";
+}
 
+void BackgroundModel::Update(const Frame& frame) {
+  Adopt(frame);
   switch (options_.method) {
     case BackgroundMethod::kSelectiveMean:
       UpdateSelectiveMean(frame);
@@ -31,21 +40,16 @@ void BackgroundModel::Update(const Frame& frame) {
 }
 
 void BackgroundModel::UpdateSelectiveMean(const Frame& frame) {
+  const std::vector<uint8_t>& px = frame.pixels();
   if (frames_seen_ < options_.warmup_frames) {
-    // Running mean during warmup.
     const double n = static_cast<double>(frames_seen_);
     for (size_t i = 0; i < mean_.size(); ++i) {
-      mean_[i] = (mean_[i] * n + frame.pixels()[i]) / (n + 1.0);
+      mean_[i] = WarmupMean(mean_[i], px[i], n);
     }
   } else {
-    // Selective EMA: adapt only where the pixel still looks like
-    // background, so stationary vehicles are not absorbed quickly.
-    const double a = options_.learning_rate;
     for (size_t i = 0; i < mean_.size(); ++i) {
-      const double diff = std::fabs(frame.pixels()[i] - mean_[i]);
-      if (diff < options_.diff_threshold) {
-        mean_[i] = (1.0 - a) * mean_[i] + a * frame.pixels()[i];
-      }
+      mean_[i] = SelectiveEma(mean_[i], px[i], options_.learning_rate,
+                              options_.diff_threshold);
     }
   }
 }
@@ -78,38 +82,66 @@ void BackgroundModel::UpdateTemporalMedian(const Frame& frame) {
 Mask BackgroundModel::Subtract(const Frame& frame) const {
   Mask mask(frame.size(), 0);
   for (size_t i = 0; i < mask.size(); ++i) {
-    const double diff = std::fabs(frame.pixels()[i] - mean_[i]);
-    mask[i] = diff >= options_.diff_threshold ? 1 : 0;
+    mask[i] = IsForeground(frame.pixels()[i], mean_[i],
+                           options_.diff_threshold);
   }
   return mask;
 }
 
+bool BackgroundModel::UpdateAndSubtract(const Frame& frame, Mask* mask,
+                                        double* bg_mean) {
+  if (options_.method == BackgroundMethod::kTemporalMedian ||
+      frames_seen_ + 1 < options_.warmup_frames) {
+    // The median refresh works on a whole sample buffer, not per pixel,
+    // and costs far more than the two passes after it.
+    Update(frame);
+    if (!Ready()) return false;
+    *mask = Subtract(frame);
+    *bg_mean = BackgroundFrame().MeanIntensity();
+    return true;
+  }
+  // Selective mean: one fused pass. The frame that completes warmup is
+  // subtracted against the running mean that includes it.
+  Adopt(frame);
+  mask->resize(mean_.size());
+  const uint64_t sum = SimdOps().background_pass(
+      frame.pixels().data(), mean_.size(),
+      frames_seen_ < options_.warmup_frames,
+      static_cast<double>(frames_seen_), options_.learning_rate,
+      options_.diff_threshold, mean_.data(), mask->data());
+  // Equal to BackgroundFrame().MeanIntensity(): its double sum of bytes
+  // is exact too.
+  *bg_mean = mean_.empty() ? 0.0
+                           : static_cast<double>(sum) /
+                                 static_cast<double>(mean_.size());
+  ++frames_seen_;
+  return true;
+}
+
 Frame BackgroundModel::BackgroundFrame() const {
   Frame f(width_, height_);
-  for (size_t i = 0; i < mean_.size(); ++i) {
-    f.pixels()[i] = static_cast<uint8_t>(std::clamp(mean_[i], 0.0, 255.0));
-  }
+  for (size_t i = 0; i < mean_.size(); ++i) f.pixels()[i] = Quantize(mean_[i]);
   return f;
 }
 
 Mask CleanMask(const Mask& mask, int width, int height, int iterations) {
+  const size_t w = static_cast<size_t>(std::max(width, 0));
+  // Column sums of rows y-1, y, y+1 at cols[x + 1]; rows and columns
+  // outside the mask count as zeros, as the 9-neighbour definition does.
+  std::vector<int> cols(w + 2, 0);
+  const std::vector<uint8_t> zero_row(w, 0);
   Mask cur = mask;
   for (int it = 0; it < iterations; ++it) {
     Mask next(cur.size(), 0);
     for (int y = 0; y < height; ++y) {
-      for (int x = 0; x < width; ++x) {
-        int count = 0;
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            const int nx = x + dx, ny = y + dy;
-            if (nx < 0 || nx >= width || ny < 0 || ny >= height) continue;
-            count += cur[static_cast<size_t>(ny) * static_cast<size_t>(width) +
-                         static_cast<size_t>(nx)];
-          }
-        }
+      const uint8_t* row = cur.data() + static_cast<size_t>(y) * w;
+      const uint8_t* above = y > 0 ? row - w : zero_row.data();
+      const uint8_t* below = y + 1 < height ? row + w : zero_row.data();
+      for (size_t x = 0; x < w; ++x) cols[x + 1] = above[x] + row[x] + below[x];
+      uint8_t* out = next.data() + static_cast<size_t>(y) * w;
+      for (size_t x = 0; x < w; ++x) {
         // Majority of the 3x3 neighborhood (center included).
-        next[static_cast<size_t>(y) * static_cast<size_t>(width) +
-             static_cast<size_t>(x)] = count >= 5 ? 1 : 0;
+        out[x] = cols[x] + cols[x + 1] + cols[x + 2] >= 5 ? 1 : 0;
       }
     }
     cur.swap(next);

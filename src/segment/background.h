@@ -55,7 +55,16 @@ class BackgroundModel {
   /// The current background estimate quantized to a frame.
   Frame BackgroundFrame() const;
 
+  /// Update(frame); then, once Ready(), Subtract(frame) into `*mask` and
+  /// BackgroundFrame().MeanIntensity() into `*bg_mean` — bit-identical to
+  /// the three calls, in one pass over the pixels and without the
+  /// background frame. Returns Ready(); the outputs are untouched while
+  /// the model warms up.
+  bool UpdateAndSubtract(const Frame& frame, Mask* mask, double* bg_mean);
+
  private:
+  /// Sizes the model from the first frame; checks later frames match.
+  void Adopt(const Frame& frame);
   void UpdateSelectiveMean(const Frame& frame);
   void UpdateTemporalMedian(const Frame& frame);
 

@@ -11,14 +11,13 @@ VehicleSegmenter::VehicleSegmenter(SegmenterOptions options)
     : options_(options), background_(options.background) {}
 
 PendingSegmentation VehicleSegmenter::Ingest(Frame frame) {
-  background_.Update(frame);
+  MIVID_TRACE_SPAN("segment/ingest");
   PendingSegmentation pending;
-  pending.ready = background_.Ready();
+  double bg_mean = -1.0;
+  pending.ready =
+      background_.UpdateAndSubtract(frame, &pending.mask, &bg_mean);
   if (!pending.ready) return pending;
-  pending.mask = background_.Subtract(frame);
-  if (options_.use_spcpe) {
-    pending.bg_mean = background_.BackgroundFrame().MeanIntensity();
-  }
+  if (options_.use_spcpe) pending.bg_mean = bg_mean;
   pending.frame = std::move(frame);
   return pending;
 }

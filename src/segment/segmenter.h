@@ -40,8 +40,9 @@ struct PendingSegmentation {
 ///
 /// Process() == Refine(Ingest(frame)). The split exists so a clip can be
 /// segmented in parallel: Ingest carries the frame-order-dependent
-/// background update (cheap, must stay sequential), Refine carries the
-/// SPCPE/cleanup/blob extraction (expensive, pure function of one
+/// background update (one fused pass over the frame, serial, and a
+/// measured share of the vision path — see docs/performance.md), Refine
+/// carries the SPCPE/cleanup/blob extraction (a pure function of one
 /// PendingSegmentation, safe to fan out across frames).
 class VehicleSegmenter {
  public:

@@ -3,9 +3,47 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/noise_kernel.h"
+#include "linalg/simd.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "video/draw.h"
 
 namespace mivid {
+
+namespace {
+
+/// Box-Muller pairs drawn per block: 16 KB of uniforms.
+constexpr size_t kNoiseBlockPairs = 1024;
+
+/// px[i] = NoisyPixel(px[i], offset, sigma, rng->Gaussian()) for every
+/// pixel in order. Fresh pairs are drawn a block at a time and transformed
+/// by the active SIMD tier; a cached second value opens the frame and an
+/// odd last pixel leaves one cached, exactly as per-pixel Gaussian() calls
+/// would. Returns the pairs the tier recomputed exactly.
+size_t AddSensorNoise(double offset, double sigma, Rng* rng, uint8_t* px,
+                      size_t count) {
+  using noise_kernel::NoisyPixel;
+  size_t i = 0;
+  if (count > 0 && rng->HasCachedGaussian()) {
+    px[0] = NoisyPixel(px[0], offset, sigma, rng->Gaussian());
+    i = 1;
+  }
+  const SimdOpsTable& ops = SimdOps();
+  double u1[kNoiseBlockPairs];
+  double u2[kNoiseBlockPairs];
+  size_t recomputed = 0;
+  while (count - i >= 2) {
+    const size_t pairs = std::min((count - i) / 2, kNoiseBlockPairs);
+    for (size_t j = 0; j < pairs; ++j) rng->GaussianUniforms(&u1[j], &u2[j]);
+    recomputed += ops.noisy_pairs_u8(u1, u2, pairs, offset, sigma, px + i);
+    i += 2 * pairs;
+  }
+  if (i < count) px[i] = NoisyPixel(px[i], offset, sigma, rng->Gaussian());
+  return recomputed;
+}
+
+}  // namespace
 
 Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
     : layout_(layout), options_(options), noise_rng_(options.noise_seed) {
@@ -19,6 +57,7 @@ Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
 }
 
 Frame Renderer::Render(const std::vector<VehicleState>& vehicles) {
+  MIVID_TRACE_SPAN("trafficsim/render");
   Frame frame = background_;
   for (const auto& v : vehicles) {
     if (!v.active()) continue;
@@ -36,12 +75,15 @@ Frame Renderer::Render(const std::vector<VehicleState>& vehicles) {
   }
   ++frame_index_;
 
-  const bool noisy = options_.draw_noise && options_.noise_stddev > 0;
-  if (noisy || illumination != 0.0) {
+  if (options_.draw_noise && options_.noise_stddev > 0) {
+    const size_t recomputed =
+        AddSensorNoise(illumination, options_.noise_stddev, &noise_rng_,
+                       frame.pixels().data(), frame.size());
+    MIVID_METRIC_COUNT("trafficsim/noise_exact_pairs", recomputed);
+  } else if (illumination != 0.0) {
     for (auto& p : frame.pixels()) {
-      double v = static_cast<double>(p) + illumination;
-      if (noisy) v += noise_rng_.Gaussian(0, options_.noise_stddev);
-      p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+      p = static_cast<uint8_t>(
+          std::clamp(static_cast<double>(p) + illumination, 0.0, 255.0));
     }
   }
   return frame;

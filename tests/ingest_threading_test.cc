@@ -129,19 +129,21 @@ TEST(IngestThreadingTest, ConcurrentPublishAndRankStayEpochConsistent) {
   });
 
   // Readers: snapshot, rank, and verify that re-ranking the *same*
-  // pinned epoch reproduces the same bags while publishes land.
+  // pinned epoch reproduces the same bags while publishes land. Each
+  // reader ranks at least once, even when the writer finishes before the
+  // reader is first scheduled.
   std::vector<std::thread> readers;
   std::atomic<int> iterations{0};
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      while (!done.load()) {
+      do {
         auto epoch = corpora.Snapshot("camT");
         ASSERT_TRUE(epoch.ok());
         const std::vector<int> first = RankEpoch(*epoch.value());
         const std::vector<int> second = RankEpoch(*epoch.value());
         ASSERT_EQ(first, second);  // pinned epoch => identical ranking
         iterations.fetch_add(1);
-      }
+      } while (!done.load());
     });
   }
 

@@ -69,6 +69,72 @@ TEST(CleanMaskTest, RemovesIsolatedPixelsKeepsBlocks) {
   EXPECT_EQ(cleaned[10 * 16 + 10], 1);
 }
 
+TEST(CleanMaskTest, MatchesNineNeighbourMajorityOnRandomMasks) {
+  Rng rng(5);
+  for (int trial = 0; trial < 500; ++trial) {
+    const int w = static_cast<int>(rng.UniformInt(1, 40));
+    const int h = static_cast<int>(rng.UniformInt(1, 30));
+    const double density = rng.Uniform(0.1, 0.9);
+    const int iterations = static_cast<int>(rng.UniformInt(1, 3));
+    Mask mask(static_cast<size_t>(w) * h);
+    for (auto& m : mask) m = rng.Bernoulli(density) ? 1 : 0;
+    // Reference: count the in-bounds 3x3 neighbourhood of every pixel.
+    Mask want = mask;
+    for (int it = 0; it < iterations; ++it) {
+      Mask next(want.size(), 0);
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          int count = 0;
+          for (int ny = std::max(0, y - 1); ny <= std::min(h - 1, y + 1); ++ny) {
+            for (int nx = std::max(0, x - 1); nx <= std::min(w - 1, x + 1);
+                 ++nx) {
+              count += want[ny * w + nx];
+            }
+          }
+          next[y * w + x] = count >= 5 ? 1 : 0;
+        }
+      }
+      want.swap(next);
+    }
+    ASSERT_EQ(CleanMask(mask, w, h, iterations), want)
+        << w << "x" << h << " iterations " << iterations;
+  }
+}
+
+TEST(BackgroundModelTest, UpdateAndSubtractMatchesSeparateCalls) {
+  // Noisy frames with a moving block, through warmup (the frame that
+  // completes it included) and the selective update, for both methods.
+  for (BackgroundMethod method :
+       {BackgroundMethod::kSelectiveMean, BackgroundMethod::kTemporalMedian}) {
+    BackgroundOptions options;
+    options.method = method;
+    options.warmup_frames = 6;
+    BackgroundModel fused(options), separate(options);
+    Rng rng(12);
+    for (int f = 0; f < 40; ++f) {
+      Frame frame(33, 21);
+      for (auto& p : frame.pixels()) {
+        p = static_cast<uint8_t>(rng.UniformInt(50, 70));
+      }
+      if (f > 8) FillRect(&frame, BBox(f % 25, 4, f % 25 + 6, 12), 220);
+      Mask mask;
+      double bg_mean = -1.0;
+      const bool ready = fused.UpdateAndSubtract(frame, &mask, &bg_mean);
+      separate.Update(frame);
+      ASSERT_EQ(ready, separate.Ready()) << "frame " << f;
+      if (!ready) {
+        EXPECT_TRUE(mask.empty());
+        continue;
+      }
+      EXPECT_EQ(mask, separate.Subtract(frame)) << "frame " << f;
+      EXPECT_EQ(bg_mean, separate.BackgroundFrame().MeanIntensity())
+          << "frame " << f;
+      EXPECT_EQ(fused.BackgroundFrame().pixels(),
+                separate.BackgroundFrame().pixels());
+    }
+  }
+}
+
 TEST(SpcpeTest, SeparatesTwoIntensityClasses) {
   Frame frame(32, 32, 50);
   FillRect(&frame, BBox(8, 8, 15, 15), 210);

@@ -3,6 +3,8 @@
 // concurrent clients on distinct and shared sessions, and backpressure
 // under real contention.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
@@ -25,8 +27,12 @@ namespace fs = std::filesystem;
 
 class TempDir {
  public:
+  // Per-process path: ctest runs each test in its own process, in
+  // parallel, and a shared path let one test delete another's database.
   explicit TempDir(const char* name)
-      : path_((fs::temp_directory_path() / name).string()) {
+      : path_((fs::temp_directory_path() /
+               (std::string(name) + "." + std::to_string(getpid())))
+                  .string()) {
     fs::remove_all(path_);
   }
   ~TempDir() { fs::remove_all(path_); }

@@ -1,0 +1,160 @@
+// Golden pins for the vision front end (paper Sec. 3.1): FNV-1a hashes of
+// every rendered frame, every background-subtraction mask, every
+// background mean and every refined blob list, over fixed tunnel and
+// intersection runs.
+//
+// The pinned values were produced by the plain implementations: libm
+// Box–Muller per pixel (still the scalar tier's noise), separate
+// Update / Subtract / BackgroundFrame().MeanIntensity() passes, and a
+// bounds-checked 9-neighbour CleanMask. The fast front end must
+// reproduce them byte for byte on every SIMD tier; EXPERIMENTS.md rests
+// on these bytes.
+
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "linalg/simd.h"
+#include "segment/segmenter.h"
+#include "trafficsim/renderer.h"
+#include "trafficsim/scenarios.h"
+
+namespace mivid {
+
+/// Names the tier parameter in test output.
+void PrintTo(SimdTier tier, std::ostream* os) { *os << SimdTierName(tier); }
+
+namespace {
+
+/// 64-bit FNV-1a over a byte stream.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  void Double(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Bytes(&bits, sizeof(bits));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct FrontEndHashes {
+  uint64_t frames = 0;
+  uint64_t masks = 0;
+  uint64_t bg_means = 0;
+  uint64_t blobs = 0;
+  int blob_count = 0;  ///< not pinned; guards against an empty run
+};
+
+/// Steps `spec` for `num_frames` frames through render → Ingest → Refine
+/// and hashes each stage's output.
+FrontEndHashes RunFrontEnd(const ScenarioSpec& spec, const RenderOptions& ro,
+                           int num_frames) {
+  TrafficWorld world(spec);
+  Renderer renderer(world.spec().layout, ro);
+  VehicleSegmenter segmenter;
+  Fnv1a frames, masks, bg_means, blobs;
+  int blob_count = 0;
+  for (int f = 0; f < num_frames && !world.Done(); ++f) {
+    world.Step();
+    Frame frame = renderer.Render(world.vehicles());
+    frames.Bytes(frame.pixels().data(), frame.size());
+    const PendingSegmentation pending = segmenter.Ingest(std::move(frame));
+    masks.Int(pending.ready ? 1 : 0);
+    masks.Bytes(pending.mask.data(), pending.mask.size());
+    bg_means.Double(pending.bg_mean);
+    const std::vector<Blob> found =
+        VehicleSegmenter::Refine(pending, segmenter.options());
+    blobs.Int(static_cast<int64_t>(found.size()));
+    blob_count += static_cast<int>(found.size());
+    for (const Blob& b : found) {
+      blobs.Double(b.mbr.min_x);
+      blobs.Double(b.mbr.min_y);
+      blobs.Double(b.mbr.max_x);
+      blobs.Double(b.mbr.max_y);
+      blobs.Double(b.centroid.x);
+      blobs.Double(b.centroid.y);
+      blobs.Int(b.area);
+      blobs.Double(b.mean_intensity);
+    }
+  }
+  return {frames.value(), masks.value(), bg_means.value(), blobs.value(),
+          blob_count};
+}
+
+void ExpectHashes(const FrontEndHashes& got, const FrontEndHashes& want) {
+  EXPECT_EQ(got.frames, want.frames) << std::hex << "frames 0x" << got.frames;
+  EXPECT_EQ(got.masks, want.masks) << std::hex << "masks 0x" << got.masks;
+  EXPECT_EQ(got.bg_means, want.bg_means)
+      << std::hex << "bg_means 0x" << got.bg_means;
+  EXPECT_EQ(got.blobs, want.blobs) << std::hex << "blobs 0x" << got.blobs;
+  EXPECT_GT(got.blob_count, 0);
+}
+
+/// Pins the SIMD tier for one test and restores native dispatch after.
+class VisionGoldenTest : public ::testing::TestWithParam<SimdTier> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == SimdTier::kAvx2 && !Avx2Available()) {
+      GTEST_SKIP() << "AVX2 tier unavailable on this build or CPU";
+    }
+    SetSimdTier(static_cast<int>(GetParam()));
+  }
+  void TearDown() override { SetSimdTier(-1); }
+};
+
+TEST_P(VisionGoldenTest, Tunnel300Frames) {
+  ExpectHashes(RunFrontEnd(MakeTunnelScenario(), RenderOptions{}, 300),
+               {0xd554823286ccd9e6ULL, 0x6d651ad4ce5fb0dbULL,
+                0xf856971615aa0522ULL, 0xb105aa509eb94c71ULL});
+}
+
+TEST_P(VisionGoldenTest, Intersection300Frames) {
+  ExpectHashes(RunFrontEnd(MakeIntersectionScenario(), RenderOptions{}, 300),
+               {0xa6587a7782b549b9ULL, 0xc13f4cad91bb0101ULL,
+                0xa615dc1e765dcbb7ULL, 0x317f111fdd147303ULL});
+}
+
+TEST_P(VisionGoldenTest, TunnelWithIlluminationDrift) {
+  RenderOptions ro;
+  ro.illumination_amplitude = 12.0;
+  ro.illumination_period = 90;
+  ExpectHashes(RunFrontEnd(MakeTunnelScenario(), ro, 120),
+               {0xa3f6a1f74fd17755ULL, 0x54ebbed7d0b55c93ULL,
+                0x37f20dddac3ec267ULL, 0x8db2047e636127dfULL});
+}
+
+TEST_P(VisionGoldenTest, OddPixelCountCarriesGaussianAcrossFrames) {
+  // 321 x 239 pixels: every frame ends on half a Box–Muller pair, so the
+  // cached second value opens the next frame.
+  ScenarioSpec spec = MakeIntersectionScenario();
+  spec.layout.width = 321;
+  spec.layout.height = 239;
+  ExpectHashes(RunFrontEnd(spec, RenderOptions{}, 60),
+               {0x8e79113ef92023cbULL, 0x340c5893e5744149ULL,
+                0xcfd997c5ed7f42c7ULL, 0x86f56a76e9434a6cULL});
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, VisionGoldenTest,
+                         ::testing::Values(SimdTier::kScalar, SimdTier::kAvx2),
+                         [](const ::testing::TestParamInfo<SimdTier>& info) {
+                           return std::string(SimdTierName(info.param));
+                         });
+
+}  // namespace
+}  // namespace mivid

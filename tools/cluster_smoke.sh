@@ -252,5 +252,13 @@ grep -q '"slow":true' "$WORK_DIR"/worker*.slow.log \
 echo "== graceful shutdown =="
 "$CLIENT" "$COORD_SOCK" '{"cmd":"shutdown"}' >/dev/null
 "$CLIENT" "$ONE_SOCK" '{"cmd":"shutdown"}' >/dev/null
+# Give both coordinators up to ~5 s to exit on their own: the spawning
+# one SIGTERMs its supervised worker on the way out, which the EXIT
+# trap's kill -9 would otherwise cut short and leave the worker running.
+for _ in $(seq 1 50); do
+  kill -0 "$COORD_PID" 2>/dev/null || kill -0 "$ONE_COORD_PID" 2>/dev/null \
+    || break
+  sleep 0.1
+done
 
 echo "PASS: cluster smoke ($WORK_DIR)"
