@@ -1,6 +1,7 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <set>
 
@@ -19,42 +20,6 @@ namespace mivid {
 namespace {
 
 constexpr int kAcceptPollMs = 100;
-
-/// Stable span names for tracing coordinator-side command handling
-/// (literals — span names must outlive the trace buffer).
-const char* CoordSpanName(ServeCmd cmd) {
-  switch (cmd) {
-    case ServeCmd::kOpen:
-      return "coord/open";
-    case ServeCmd::kRank:
-      return "coord/rank";
-    case ServeCmd::kFeedback:
-      return "coord/feedback";
-    case ServeCmd::kSave:
-      return "coord/save";
-    case ServeCmd::kClose:
-      return "coord/close";
-    case ServeCmd::kStats:
-      return "coord/stats";
-    case ServeCmd::kShutdown:
-      return "coord/shutdown";
-    case ServeCmd::kPing:
-      return "coord/ping";
-    case ServeCmd::kMetrics:
-      return "coord/metrics";
-    case ServeCmd::kClusterStats:
-      return "coord/cluster_stats";
-    case ServeCmd::kTraceDump:
-      return "coord/trace_dump";
-    case ServeCmd::kIngest:
-      return "coord/ingest";
-    case ServeCmd::kRefresh:
-      return "coord/refresh";
-    case ServeCmd::kPublish:
-      return "coord/publish";
-  }
-  return "coord/other";
-}
 
 /// The trace context of the request being handled on this thread (set by
 /// HandleLine for the duration of one request). Fan-out lines built deep
@@ -80,21 +45,49 @@ void StampRequestTrace(JsonLineBuilder& line) {
   }
 }
 
-/// Stamps the request's remaining budget onto a fan-out line under
-/// construction, so the worker can shed it if it expires in the queue.
-void StampDeadline(JsonLineBuilder& line, const Deadline& deadline) {
-  if (deadline.infinite()) return;
-  const int64_t remaining = deadline.remaining_ms();
-  line.Int("deadline_ms", remaining > 0 ? remaining : 1);
+/// A child span of the request being handled on this thread, installed
+/// as the request's trace context for its lifetime: fan-out lines built
+/// inside it parent their worker spans under it. Inert when untraced.
+struct RequestChildSpan {
+  ContextSpan span;
+  RequestTraceScope scope;
+  explicit RequestChildSpan(const char* name)
+      : span(name,
+             t_request_trace != nullptr ? t_request_trace->trace_id
+                                        : std::string(),
+             t_request_trace != nullptr ? t_request_trace->span_id
+                                        : std::string()),
+        scope(span.active() ? &span.context() : nullptr) {}
+};
+
+/// The line the coordinator builds for one sub-session:
+/// {"cmd":<wire>,"session":<sub_id>,<fields>...}, stamped with the
+/// request's trace context and, when `deadline` is finite, its remaining
+/// budget (so the worker can shed the line if it expires in the queue).
+std::string SubLine(
+    ServeCmd cmd, const std::string& sub_id, const Deadline& deadline,
+    const std::function<void(JsonLineBuilder&)>& fields = nullptr) {
+  JsonLineBuilder line;
+  line.Str("cmd", ServeCmdWireName(cmd)).Str("session", sub_id);
+  if (fields) fields(line);
+  StampRequestTrace(line);
+  if (!deadline.infinite()) {
+    const int64_t remaining = deadline.remaining_ms();
+    line.Int("deadline_ms", remaining > 0 ? remaining : 1);
+  }
+  return std::move(line).Build();
 }
 
-/// True when a worker response line says {"ok":true,...}.
-bool ResponseOk(const std::string& line) {
-  Result<JsonValue> doc = ParseJson(line);
-  if (!doc.ok()) return false;
-  const JsonValue* ok = doc.value().Find("ok");
+/// True when a worker response says {"ok":true,...}.
+bool ResponseOk(const JsonValue& doc) {
+  const JsonValue* ok = doc.Find("ok");
   return ok != nullptr && ok->type == JsonValue::Type::kBool &&
          ok->bool_value;
+}
+
+bool ResponseOk(const std::string& line) {
+  Result<JsonValue> doc = ParseJson(line);
+  return doc.ok() && ResponseOk(doc.value());
 }
 
 /// Extracts the "error" message from a failed worker response, or the
@@ -106,6 +99,22 @@ std::string ResponseError(const std::string& line) {
     if (error != nullptr && error->is_string()) return error->string;
   }
   return line;
+}
+
+/// Parses one sub-session's reply to `cmd`. A reply that is not
+/// {"ok":true,...} fails as "<cmd> on camera '<camera>' failed: <worker
+/// error>" (open keeps its own wording and code).
+Result<JsonValue> ParseSubReply(ServeCmd cmd, const std::string& camera,
+                                const std::string& reply) {
+  Result<JsonValue> doc = ParseJson(reply);
+  if (doc.ok() && ResponseOk(doc.value())) return doc;
+  const std::string why = ResponseError(reply);
+  if (cmd == ServeCmd::kOpen) {
+    return Status::FailedPrecondition("open of camera '" + camera +
+                                      "' failed: " + why);
+  }
+  return Status::Internal(std::string(ServeCmdWireName(cmd)) +
+                          " on camera '" + camera + "' failed: " + why);
 }
 
 }  // namespace
@@ -168,9 +177,7 @@ Status Coordinator::Start() {
       ring_.Add(endpoint);
     }
   }
-  MIVID_METRIC_GAUGE_SET(
-      "cluster/workers_alive",
-      static_cast<int64_t>(registry_.AliveEndpoints().size()));
+  MIVID_METRIC_GAUGE_SET("cluster/workers_alive", WorkersAlive());
 
   LineTransportOptions transport;
   transport.uds_path = options_.socket_path;
@@ -237,7 +244,8 @@ std::string Coordinator::HandleLine(const std::string& line) {
   // client supplied no context, every line relayed or fanned out below
   // is stamped with it, so worker spans nest under the coordinator's in
   // the stitched fleet timeline.
-  ContextSpan span(CoordSpanName(req.cmd), req.trace_id, req.parent_span);
+  ContextSpan span(ServeCmdCoordSpanName(req.cmd), req.trace_id,
+                   req.parent_span);
   RequestTraceScope trace_scope(span.active() ? &span.context() : nullptr);
   const std::string* relay = &line;
   std::string stamped;
@@ -252,17 +260,11 @@ std::string Coordinator::HandleLine(const std::string& line) {
 
   // Effective budget for every worker hop this request makes: the
   // smaller of the client's own deadline and the coordinator's per-hop
-  // ceiling. Relayed lines that carried no deadline are stamped with it
-  // so workers can shed the request if it expires in their queue.
-  int64_t budget_ms = options_.rpc_deadline_ms;
-  if (req.deadline_ms > 0 &&
-      (budget_ms == 0 || req.deadline_ms < budget_ms)) {
-    budget_ms = req.deadline_ms;
-  }
-  const Deadline deadline =
-      budget_ms > 0 ? Deadline::AfterMs(budget_ms) : Deadline();
-  if (budget_ms > 0 && req.deadline_ms == 0) {
-    stamped = StampDeadlineMs(*relay, budget_ms);
+  // ceiling. Relayed lines that carried no deadline are stamped with the
+  // ceiling so workers can shed the request if it expires in their queue.
+  const Deadline deadline = HopDeadline().ClampedToMs(req.deadline_ms);
+  if (req.deadline_ms == 0 && options_.rpc_deadline_ms > 0) {
+    stamped = StampDeadlineMs(*relay, options_.rpc_deadline_ms);
     relay = &stamped;
   }
 
@@ -283,9 +285,7 @@ std::string Coordinator::HandleLine(const std::string& line) {
         if (std::shared_ptr<CoordSession> session = FindSession(session_id)) {
           std::lock_guard<std::mutex> session_lock(session->mu);
           identity.engine = session->engine;
-          for (const SubSession& sub : session->subs) {
-            identity.cameras.push_back(sub.camera);
-          }
+          identity.cameras = session->cameras();
         }
         return identity;
       });
@@ -298,15 +298,15 @@ std::string Coordinator::Route(const ServeRequest& req,
   switch (req.cmd) {
     case ServeCmd::kOpen:
       return CmdOpen(req, line, deadline);
-    case ServeCmd::kRank:
-      return CmdRank(req, line, deadline);
+    case ServeCmd::kRank: {
+      MIVID_SCOPED_TIMER("cluster/rank_seconds");
+      return CmdSession(req, line, deadline);
+    }
     case ServeCmd::kFeedback:
-      return CmdFeedback(req, line, deadline);
     case ServeCmd::kSave:
     case ServeCmd::kClose:
-      return CmdForward(req, line, deadline);
     case ServeCmd::kRefresh:
-      return CmdRefresh(req, line, deadline);
+      return CmdSession(req, line, deadline);
     case ServeCmd::kIngest:
     case ServeCmd::kPublish:
       return CmdCameraForward(req, line, deadline);
@@ -351,12 +351,13 @@ std::shared_ptr<Coordinator::CoordSession> Coordinator::FindSession(
 
 std::string Coordinator::OpenLineFor(const CoordSession& session,
                                      const SubSession& sub) const {
-  JsonLineBuilder line;
-  line.Str("cmd", "open").Str("session", sub.sub_id).Str("camera",
-                                                         sub.camera);
-  if (!session.engine.empty()) line.Str("engine", session.engine);
-  StampRequestTrace(line);
-  return std::move(line).Build();
+  return SubLine(ServeCmd::kOpen, sub.sub_id, Deadline(),
+                 [&](JsonLineBuilder& line) {
+                   line.Str("camera", sub.camera);
+                   if (!session.engine.empty()) {
+                     line.Str("engine", session.engine);
+                   }
+                 });
 }
 
 Result<std::vector<std::string>> Coordinator::PlaceCamera(
@@ -378,6 +379,19 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
   bool saw_malformed = false;
   bool prior_deadline_miss = false;
   bool resume_attempted = false;
+  const auto out_of_budget = [&sub] {
+    return Status::DeadlineExceeded(
+        "deadline exhausted while failing over camera '" + sub.camera + "'");
+  };
+  // `which` says what was searched for: live replicas or usable owners.
+  const auto no_replica = [&sub, &saw_malformed](const char* which) {
+    return saw_malformed
+               ? Status::DataLoss("camera '" + sub.camera + "' has no " +
+                                  which +
+                                  " replica and the last reply was corrupt")
+               : Status::FailedPrecondition(
+                     "no live workers left for camera '" + sub.camera + "'");
+  };
   for (;;) {
     // This round's candidates: the sub's live replicas, primary-first
     // (or fastest-first for rank — EWMA is a relaxed read, so ties and
@@ -400,11 +414,7 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
 
     for (size_t i = 0; i < live.size(); ++i) {
       WorkerConn* worker = live[i];
-      if (deadline.expired()) {
-        return Status::DeadlineExceeded(
-            "deadline exhausted while failing over camera '" +
-            sub.camera + "'");
-      }
+      if (deadline.expired()) return out_of_budget();
       // Split the remaining budget evenly over the replicas not yet
       // tried, plus one share held in reserve for failover: a hung
       // replica burns one slice, never the whole budget, so the hedged
@@ -466,34 +476,17 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
       // The replica is unusable (dead, timed out, or desynced): drop it
       // from the ring so placement stops handing it out. The heartbeat
       // re-admits it when it answers again.
-      {
-        std::lock_guard<std::mutex> lock(ring_mu_);
-        ring_.Remove(worker->endpoint);
-      }
+      DropFromRing(worker->endpoint);
     }
-    MIVID_METRIC_GAUGE_SET(
-        "cluster/workers_alive",
-        static_cast<int64_t>(registry_.AliveEndpoints().size()));
+    MIVID_METRIC_GAUGE_SET("cluster/workers_alive", WorkersAlive());
 
     // Every current replica is gone. Re-place the camera on the ring
     // and resume the sub-session on the new owners: workers share one
     // database, so a new owner replays the feedback journal and
     // reconstructs the exact pre-crash session state.
-    if (deadline.expired()) {
-      return Status::DeadlineExceeded(
-          "deadline exhausted while failing over camera '" + sub.camera +
-          "'");
-    }
+    if (deadline.expired()) return out_of_budget();
     Result<std::vector<std::string>> placed = PlaceCamera(sub.camera);
-    if (!placed.ok()) {
-      if (saw_malformed) {
-        return Status::DataLoss(
-            "camera '" + sub.camera +
-            "' has no live replica and the last reply was corrupt");
-      }
-      return Status::FailedPrecondition(
-          "no live workers left for camera '" + sub.camera + "'");
-    }
+    if (!placed.ok()) return no_replica("live");
     std::vector<std::string> owners = std::move(placed).value();
     // Drop owners we already burned this round (all of sub.workers).
     owners.erase(std::remove_if(owners.begin(), owners.end(),
@@ -504,32 +497,19 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
                                          sub.workers.end();
                                 }),
                  owners.end());
-    if (owners.empty()) {
-      return saw_malformed
-                 ? Status::DataLoss("camera '" + sub.camera +
-                                    "' has no usable replica and the "
-                                    "last reply was corrupt")
-                 : Status::FailedPrecondition(
-                       "no live workers left for camera '" + sub.camera +
-                       "'");
-    }
+    if (owners.empty()) return no_replica("usable");
     const std::string open_line = OpenLineFor(session, sub);
     std::vector<std::string> reopened;
     for (const std::string& endpoint : owners) {
       // Dialing a healthy worker with an exhausted budget would make it
       // look dead; report the timeout instead of spreading it.
-      if (deadline.expired()) {
-        return Status::DeadlineExceeded(
-            "deadline exhausted while failing over camera '" +
-            sub.camera + "'");
-      }
+      if (deadline.expired()) return out_of_budget();
       WorkerConn* next = registry_.Find(endpoint);
       if (next == nullptr) continue;
       Result<std::string> opened =
           registry_.Call(*next, open_line, deadline);
       if (!opened.ok()) {
-        std::lock_guard<std::mutex> lock(ring_mu_);
-        ring_.Remove(endpoint);
+        DropFromRing(endpoint);
         continue;
       }
       if (!ParseJson(opened.value()).ok()) {
@@ -537,8 +517,7 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
         MIVID_METRIC_COUNT("cluster/malformed_replies", 1);
         registry_.MarkDead(*next);
         saw_malformed = true;
-        std::lock_guard<std::mutex> lock(ring_mu_);
-        ring_.Remove(endpoint);
+        DropFromRing(endpoint);
         continue;
       }
       if (!ResponseOk(opened.value())) {
@@ -603,30 +582,30 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
   }
 
   std::shared_ptr<CoordSession> session;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(req.session_id);
-    if (it != sessions_.end()) {
-      session = it->second;
-    } else {
-      session = std::make_shared<CoordSession>();
-      session->id = req.session_id;
-      session->engine = req.engine;
-      session->multi = multi;
-      sessions_[req.session_id] = session;
+  std::unique_lock<std::mutex> session_lock;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      std::shared_ptr<CoordSession>& slot = sessions_[req.session_id];
+      if (slot == nullptr) {
+        slot = std::make_shared<CoordSession>();
+        slot->id = req.session_id;
+        slot->engine = req.engine;
+        slot->multi = multi;
+      }
+      session = slot;
     }
+    session_lock = std::unique_lock<std::mutex>(session->mu);
+    if (FindSession(req.session_id) == session) break;
+    // A failed open or a close dropped the session while this request
+    // waited for it: start over with a fresh one.
+    session_lock.unlock();
   }
-  std::lock_guard<std::mutex> session_lock(session->mu);
   if (session->multi != multi) {
     return ErrorResponse(Status::AlreadyExists(
         "session '" + req.session_id +
         "' is already open with a different camera layout"));
   }
-
-  auto drop_session = [this, &req] {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.erase(req.session_id);
-  };
 
   if (!multi) {
     // Single-camera: passthrough. The worker's response is relayed
@@ -636,7 +615,7 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
     if (session->subs.empty()) {
       Result<std::vector<std::string>> placed = PlaceCamera(req.camera_id);
       if (!placed.ok()) {
-        drop_session();
+        DropSession(*session);
         return ErrorResponse(placed.status());
       }
       session->subs.push_back(SubSession{
@@ -649,10 +628,10 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
     Result<std::string> response =
         MirrorSub(*session, session->subs[0], line, deadline);
     if (!response.ok()) {
-      drop_session();
+      DropSession(*session);
       return ErrorResponse(response.status());
     }
-    if (!ResponseOk(response.value())) drop_session();
+    if (!ResponseOk(response.value())) DropSession(*session);
     return response.value();
   }
 
@@ -661,14 +640,14 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
     for (const std::string& camera : req.cameras) {
       const std::string sub_id = req.session_id + "-" + camera;
       if (!ValidSessionId(sub_id)) {
-        drop_session();
+        DropSession(*session);
         return ErrorResponse(Status::InvalidArgument(
             "camera '" + camera + "' does not yield a valid sub-session "
             "id ('" + sub_id + "' must be 1..64 chars of [A-Za-z0-9._-])"));
       }
       Result<std::vector<std::string>> placed = PlaceCamera(camera);
       if (!placed.ok()) {
-        drop_session();
+        DropSession(*session);
         return ErrorResponse(placed.status());
       }
       session->subs.push_back(
@@ -676,70 +655,116 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
     }
   }
 
+  Result<std::vector<JsonValue>> replies = FanOut(
+      *session, ServeCmd::kOpen,
+      [&](const SubSession& sub) { return OpenLineFor(*session, sub); },
+      deadline);
+  if (!replies.ok()) {
+    DropSession(*session);
+    return ErrorResponse(replies.status());
+  }
   int64_t total_bags = 0;
   bool resumed = false;
-  for (SubSession& sub : session->subs) {
-    Result<std::string> response =
-        MirrorSub(*session, sub, OpenLineFor(*session, sub), deadline);
-    if (!response.ok()) {
-      drop_session();
-      return ErrorResponse(response.status());
+  for (const JsonValue& reply : replies.value()) {
+    const JsonValue* bags = reply.Find("bags");
+    if (bags != nullptr && bags->is_number()) {
+      total_bags += static_cast<int64_t>(bags->number);
     }
-    if (!ResponseOk(response.value())) {
-      drop_session();
-      return ErrorResponse(Status::FailedPrecondition(
-          "open of camera '" + sub.camera +
-          "' failed: " + ResponseError(response.value())));
-    }
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (doc.ok()) {
-      const JsonValue* bags = doc.value().Find("bags");
-      if (bags != nullptr && bags->is_number()) {
-        total_bags += static_cast<int64_t>(bags->number);
-      }
-      const JsonValue* was_resumed = doc.value().Find("resumed");
-      if (was_resumed != nullptr && was_resumed->bool_value) resumed = true;
-    }
+    const JsonValue* was_resumed = reply.Find("resumed");
+    if (was_resumed != nullptr && was_resumed->bool_value) resumed = true;
   }
 
-  std::string cameras = "[";
-  for (size_t i = 0; i < session->subs.size(); ++i) {
-    if (i > 0) cameras += ',';
-    cameras += '"';
-    cameras += JsonEscape(session->subs[i].camera);
-    cameras += '"';
-  }
-  cameras += ']';
   JsonLineBuilder out;
   out.Bool("ok", true)
       .Str("cmd", "open")
       .Str("session", session->id)
-      .Raw("cameras", cameras)
+      .StrList("cameras", session->cameras())
       .Str("engine", session->engine)
       .Int("bags", total_bags)
       .Bool("resumed", resumed);
   return std::move(out).Build();
 }
 
-std::string Coordinator::CmdRank(const ServeRequest& req,
-                                 const std::string& line,
-                                 const Deadline& deadline) {
-  MIVID_SCOPED_TIMER("cluster/rank_seconds");
+std::string Coordinator::CmdSession(const ServeRequest& req,
+                                    const std::string& line,
+                                    const Deadline& deadline) {
   std::shared_ptr<CoordSession> session = FindSession(req.session_id);
-  if (session == nullptr) {
+  std::unique_lock<std::mutex> session_lock;
+  if (session != nullptr) {
+    session_lock = std::unique_lock<std::mutex>(session->mu);
+  }
+  // An open that could not place its cameras is visible here until it
+  // drops the session again, and a request that found a session just
+  // before a close drop gets it after the drop: both have no subs.
+  if (session == nullptr || session->subs.empty()) {
     return ErrorResponse(
         Status::NotFound("session '" + req.session_id + "' is not open"));
   }
-  std::lock_guard<std::mutex> session_lock(session->mu);
 
+  std::string response;
   if (!session->multi) {
-    Result<std::string> response =
-        CallSub(*session, session->subs[0], line, deadline,
-                /*prefer_fastest=*/true);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return response.value();
+    // Single-camera: the line is relayed byte-for-byte. rank goes to the
+    // fastest live replica; the writes — and refresh, which re-pins
+    // in-memory state — are mirrored to every replica, keeping rank
+    // consistent whichever replica answers.
+    Result<std::string> relayed =
+        req.cmd == ServeCmd::kRank
+            ? CallSub(*session, session->subs[0], line, deadline,
+                      /*prefer_fastest=*/true)
+            : MirrorSub(*session, session->subs[0], line, deadline);
+    response = relayed.ok() ? std::move(relayed).value()
+                            : ErrorResponse(relayed.status());
+  } else {
+    switch (req.cmd) {
+      case ServeCmd::kRank:
+        response = MultiRank(req, *session, deadline);
+        break;
+      case ServeCmd::kFeedback:
+        response = MultiFeedback(req, *session, deadline);
+        break;
+      case ServeCmd::kRefresh:
+        response = MultiRefresh(*session, deadline);
+        break;
+      default:
+        response = MultiSaveOrClose(req, *session, deadline);
+        break;
+    }
   }
+  if (req.cmd == ServeCmd::kClose && ResponseOk(response)) {
+    DropSession(*session);
+  }
+  return response;
+}
 
+Result<std::vector<JsonValue>> Coordinator::FanOut(
+    CoordSession& session, ServeCmd cmd,
+    const std::function<std::string(const SubSession&)>& line_for,
+    const Deadline& deadline) {
+  std::vector<JsonValue> replies(session.subs.size());
+  for (size_t i = 0; i < session.subs.size(); ++i) {
+    SubSession& sub = session.subs[i];
+    const std::string line = line_for(sub);
+    if (line.empty()) continue;
+    Result<std::string> response = MirrorSub(session, sub, line, deadline);
+    if (!response.ok()) return response.status();
+    MIVID_ASSIGN_OR_RETURN(replies[i],
+                           ParseSubReply(cmd, sub.camera, response.value()));
+  }
+  return replies;
+}
+
+void Coordinator::DropSession(CoordSession& session) {
+  session.subs.clear();
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  auto it = sessions_.find(session.id);
+  if (it != sessions_.end() && it->second.get() == &session) {
+    sessions_.erase(it);
+  }
+}
+
+std::string Coordinator::MultiRank(const ServeRequest& req,
+                                   CoordSession& session,
+                                   const Deadline& deadline) {
   // Scatter: every sub-session ranks its own corpus in parallel (calls
   // to distinct workers overlap; the per-worker connection mutex
   // serializes subs that share a worker). Each worker returns its exact
@@ -747,45 +772,36 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
   const size_t k = req.top == 0   ? static_cast<size_t>(options_.top_n)
                    : req.top > 0 ? static_cast<size_t>(req.top)
                                  : 0;  // full ranking
+  const int64_t top = req.top < 0 ? -1 : static_cast<int64_t>(k);
   MIVID_METRIC_COUNT("cluster/fanout_requests",
-                     static_cast<int64_t>(session->subs.size()));
+                     static_cast<int64_t>(session.subs.size()));
   std::vector<std::vector<ClusterScoredBag>> parts;
-  parts.reserve(session->subs.size());
+  parts.reserve(session.subs.size());
   std::vector<std::string> missing_cameras;
   int64_t total = 0;
   {
     // The scatter-gather half of the request gets its own child span;
     // fan-out lines are stamped with it, so per-worker rank spans nest
     // under coord/scatter in the stitched timeline.
-    ContextSpan scatter_span(
-        "coord/scatter",
-        t_request_trace != nullptr ? t_request_trace->trace_id
-                                   : std::string(),
-        t_request_trace != nullptr ? t_request_trace->span_id
-                                   : std::string());
-    RequestTraceScope scatter_scope(
-        scatter_span.active() ? &scatter_span.context() : nullptr);
-
+    RequestChildSpan scatter_span("coord/scatter");
     std::vector<std::future<Result<std::string>>> futures;
-    futures.reserve(session->subs.size());
-    for (SubSession& sub : session->subs) {
-      JsonLineBuilder sub_line;
-      sub_line.Str("cmd", "rank").Str("session", sub.sub_id).Int(
-          "top", req.top < 0 ? -1 : static_cast<int64_t>(k));
-      StampRequestTrace(sub_line);
-      StampDeadline(sub_line, deadline);
+    futures.reserve(session.subs.size());
+    for (SubSession& sub : session.subs) {
       futures.push_back(std::async(
           std::launch::async,
           [this, &session, &sub, deadline,
-           request = std::move(sub_line).Build()] {
-            return CallSub(*session, sub, request, deadline,
+           request = SubLine(ServeCmd::kRank, sub.sub_id, deadline,
+                             [top](JsonLineBuilder& line) {
+                               line.Int("top", top);
+                             })] {
+            return CallSub(session, sub, request, deadline,
                            /*prefer_fastest=*/true);
           }));
     }
 
     for (size_t i = 0; i < futures.size(); ++i) {
       Result<std::string> response = futures[i].get();
-      const std::string& camera = session->subs[i].camera;
+      const std::string& camera = session.subs[i].camera;
       if (!response.ok()) {
         // Every replica of this camera is gone (or out of budget).
         // Degrade instead of failing the whole request: the surviving
@@ -796,12 +812,11 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
         missing_cameras.push_back(camera);
         continue;
       }
-      Result<JsonValue> doc = ParseJson(response.value());
-      if (!doc.ok() || !ResponseOk(response.value())) {
+      Result<JsonValue> doc =
+          ParseSubReply(ServeCmd::kRank, camera, response.value());
+      if (!doc.ok()) {
         for (size_t j = i + 1; j < futures.size(); ++j) futures[j].wait();
-        return ErrorResponse(Status::Internal(
-            "rank on camera '" + camera +
-            "' failed: " + ResponseError(response.value())));
+        return ErrorResponse(doc.status());
       }
       const JsonValue* worker_total = doc.value().Find("total");
       if (worker_total != nullptr && worker_total->is_number()) {
@@ -823,20 +838,15 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
       parts.push_back(std::move(part));
     }
   }
-  if (missing_cameras.size() == session->subs.size()) {
+  if (missing_cameras.size() == session.subs.size()) {
     return ErrorResponse(Status::FailedPrecondition(
-        "no live workers left for any camera of session '" + session->id +
+        "no live workers left for any camera of session '" + session.id +
         "'"));
   }
 
   std::vector<ClusterScoredBag> merged;
   {
-    ContextSpan merge_span(
-        "coord/merge",
-        t_request_trace != nullptr ? t_request_trace->trace_id
-                                   : std::string(),
-        t_request_trace != nullptr ? t_request_trace->span_id
-                                   : std::string());
+    RequestChildSpan merge_span("coord/merge");
     AuditPhaseTimer merge_phase(&RequestAudit::merge_ms);
     merged = MergeTopK(std::move(parts), k);
   }
@@ -854,44 +864,25 @@ std::string Coordinator::CmdRank(const ServeRequest& req,
   JsonLineBuilder out;
   out.Bool("ok", true)
       .Str("cmd", "rank")
-      .Str("session", session->id)
-      .Int("cameras", static_cast<int64_t>(session->subs.size()))
+      .Str("session", session.id)
+      .Int("cameras", static_cast<int64_t>(session.subs.size()))
       .Int("total", total)
       .Raw("ranking", items);
   if (!missing_cameras.empty()) {
     MIVID_METRIC_COUNT("cluster/degraded_responses", 1);
-    std::string missing = "[";
-    for (size_t i = 0; i < missing_cameras.size(); ++i) {
-      if (i > 0) missing += ',';
-      missing += '"';
-      missing += JsonEscape(missing_cameras[i]);
-      missing += '"';
-    }
-    missing += ']';
-    out.Raw("degraded", "{\"missing_cameras\":" + missing + "}");
+    JsonLineBuilder degraded;
+    degraded.StrList("missing_cameras", missing_cameras);
+    out.Raw("degraded", std::move(degraded).Build());
   }
   return std::move(out).Build();
 }
 
-std::string Coordinator::CmdFeedback(const ServeRequest& req,
-                                     const std::string& line,
-                                     const Deadline& deadline) {
-  std::shared_ptr<CoordSession> session = FindSession(req.session_id);
-  if (session == nullptr) {
-    return ErrorResponse(
-        Status::NotFound("session '" + req.session_id + "' is not open"));
-  }
-  std::lock_guard<std::mutex> session_lock(session->mu);
-
-  if (!session->multi) {
-    Result<std::string> response =
-        MirrorSub(*session, session->subs[0], line, deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return response.value();
-  }
-
-  // Group labels by camera, preserving input order within each group.
-  std::map<std::string, std::string> per_camera;  // camera -> labels json
+std::string Coordinator::MultiFeedback(const ServeRequest& req,
+                                       CoordSession& session,
+                                       const Deadline& deadline) {
+  // Group labels by camera, preserving input order within each group,
+  // and check every camera before any sub-session is touched.
+  std::map<std::string, std::string> per_camera;  // camera -> label items
   for (size_t i = 0; i < req.labels.size(); ++i) {
     const std::string& camera = req.label_cameras[i];
     if (camera.empty()) {
@@ -899,45 +890,34 @@ std::string Coordinator::CmdFeedback(const ServeRequest& req,
           "label entries in a multi-camera session need a \"camera\""));
     }
     std::string& items = per_camera[camera];
-    if (items.empty()) {
-      items = "[";
-    } else {
-      items += ',';
-    }
+    if (!items.empty()) items += ',';
     items += StrFormat("{\"bag\":%d,\"label\":\"%s\"}", req.labels[i].first,
                        BagLabelWireName(req.labels[i].second));
   }
-
-  int64_t labeled = 0;
-  for (auto& [camera, items] : per_camera) {
-    SubSession* sub = nullptr;
-    for (SubSession& candidate : session->subs) {
-      if (candidate.camera == camera) {
-        sub = &candidate;
-        break;
-      }
-    }
-    if (sub == nullptr) {
+  const std::vector<std::string> cameras = session.cameras();
+  for (const auto& [camera, items] : per_camera) {
+    if (std::find(cameras.begin(), cameras.end(), camera) == cameras.end()) {
       return ErrorResponse(Status::InvalidArgument(
-          "camera '" + camera + "' is not part of session '" + session->id +
+          "camera '" + camera + "' is not part of session '" + session.id +
           "'"));
     }
-    items += ']';
-    JsonLineBuilder sub_line;
-    sub_line.Str("cmd", "feedback").Str("session", sub->sub_id).Raw(
-        "labels", items);
-    StampRequestTrace(sub_line);
-    StampDeadline(sub_line, deadline);
-    Result<std::string> response =
-        MirrorSub(*session, *sub, std::move(sub_line).Build(), deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(response.value())) {
-      return ErrorResponse(Status::Internal(
-          "feedback on camera '" + camera +
-          "' failed: " + ResponseError(response.value())));
-    }
-    const JsonValue* count = doc.value().Find("labeled");
+  }
+
+  Result<std::vector<JsonValue>> replies = FanOut(
+      session, ServeCmd::kFeedback,
+      [&](const SubSession& sub) {
+        auto it = per_camera.find(sub.camera);
+        if (it == per_camera.end()) return std::string();
+        return SubLine(ServeCmd::kFeedback, sub.sub_id, deadline,
+                       [&](JsonLineBuilder& line) {
+                         line.Raw("labels", "[" + it->second + "]");
+                       });
+      },
+      deadline);
+  if (!replies.ok()) return ErrorResponse(replies.status());
+  int64_t labeled = 0;
+  for (const JsonValue& reply : replies.value()) {
+    const JsonValue* count = reply.Find("labeled");
     if (count != nullptr && count->is_number()) {
       labeled += static_cast<int64_t>(count->number);
     }
@@ -946,129 +926,73 @@ std::string Coordinator::CmdFeedback(const ServeRequest& req,
   JsonLineBuilder out;
   out.Bool("ok", true)
       .Str("cmd", "feedback")
-      .Str("session", session->id)
+      .Str("session", session.id)
       .Int("labeled", labeled)
       .Bool("journaled", true);
   return std::move(out).Build();
 }
 
-std::string Coordinator::CmdForward(const ServeRequest& req,
-                                    const std::string& line,
-                                    const Deadline& deadline) {
-  std::shared_ptr<CoordSession> session = FindSession(req.session_id);
-  if (session == nullptr) {
-    return ErrorResponse(
-        Status::NotFound("session '" + req.session_id + "' is not open"));
-  }
+std::string Coordinator::MultiSaveOrClose(const ServeRequest& req,
+                                          CoordSession& session,
+                                          const Deadline& deadline) {
   const bool closing = req.cmd == ServeCmd::kClose;
-  std::string response_line;
-  {
-    std::lock_guard<std::mutex> session_lock(session->mu);
-    if (!session->multi) {
-      Result<std::string> response =
-          MirrorSub(*session, session->subs[0], line, deadline);
-      if (!response.ok()) return ErrorResponse(response.status());
-      response_line = response.value();
-    } else {
-      const char* cmd = closing ? "close" : "save";
-      for (SubSession& sub : session->subs) {
-        JsonLineBuilder sub_line;
-        sub_line.Str("cmd", cmd).Str("session", sub.sub_id);
-        if (closing) sub_line.Bool("discard", req.discard);
-        StampRequestTrace(sub_line);
-        StampDeadline(sub_line, deadline);
-        Result<std::string> response =
-            MirrorSub(*session, sub, std::move(sub_line).Build(), deadline);
-        if (!response.ok()) return ErrorResponse(response.status());
-        if (!ResponseOk(response.value())) {
-          return ErrorResponse(Status::Internal(
-              std::string(cmd) + " on camera '" + sub.camera +
-              "' failed: " + ResponseError(response.value())));
-        }
-      }
-      JsonLineBuilder out;
-      out.Bool("ok", true)
-          .Str("cmd", cmd)
-          .Str("session", session->id)
-          .Int("cameras", static_cast<int64_t>(session->subs.size()));
-      if (closing) out.Bool("journaled", !req.discard);
-      response_line = std::move(out).Build();
-    }
-  }
-  if (closing && ResponseOk(response_line)) {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.erase(req.session_id);
-  }
-  return response_line;
+  Result<std::vector<JsonValue>> replies = FanOut(
+      session, req.cmd,
+      [&](const SubSession& sub) {
+        return SubLine(req.cmd, sub.sub_id, deadline,
+                       [&](JsonLineBuilder& line) {
+                         if (closing) line.Bool("discard", req.discard);
+                       });
+      },
+      deadline);
+  if (!replies.ok()) return ErrorResponse(replies.status());
+  JsonLineBuilder out;
+  out.Bool("ok", true)
+      .Str("cmd", ServeCmdWireName(req.cmd))
+      .Str("session", session.id)
+      .Int("cameras", static_cast<int64_t>(session.subs.size()));
+  if (closing) out.Bool("journaled", !req.discard);
+  return std::move(out).Build();
 }
 
-std::string Coordinator::CmdRefresh(const ServeRequest& req,
-                                    const std::string& line,
-                                    const Deadline& deadline) {
-  std::shared_ptr<CoordSession> session = FindSession(req.session_id);
-  if (session == nullptr) {
-    return ErrorResponse(
-        Status::NotFound("session '" + req.session_id + "' is not open"));
-  }
-  std::lock_guard<std::mutex> session_lock(session->mu);
-
-  if (!session->multi) {
-    // Refresh re-pins in-memory state, so it is mirrored like the other
-    // write-path commands: every replica moves to the latest epoch it
-    // can see, keeping rank consistent whichever replica answers.
-    Result<std::string> response =
-        MirrorSub(*session, session->subs[0], line, deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return response.value();
-  }
-
+std::string Coordinator::MultiRefresh(CoordSession& session,
+                                      const Deadline& deadline) {
+  Result<std::vector<JsonValue>> replies = FanOut(
+      session, ServeCmd::kRefresh,
+      [&](const SubSession& sub) {
+        return SubLine(ServeCmd::kRefresh, sub.sub_id, deadline);
+      },
+      deadline);
+  if (!replies.ok()) return ErrorResponse(replies.status());
   int64_t total_bags = 0;
   bool refreshed = false;
-  std::string epochs = "{";
-  bool first = true;
-  for (SubSession& sub : session->subs) {
-    JsonLineBuilder sub_line;
-    sub_line.Str("cmd", "refresh").Str("session", sub.sub_id);
-    StampRequestTrace(sub_line);
-    StampDeadline(sub_line, deadline);
-    Result<std::string> response =
-        MirrorSub(*session, sub, std::move(sub_line).Build(), deadline);
-    if (!response.ok()) return ErrorResponse(response.status());
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(response.value())) {
-      return ErrorResponse(Status::Internal(
-          "refresh on camera '" + sub.camera +
-          "' failed: " + ResponseError(response.value())));
-    }
-    if (!first) epochs += ',';
-    first = false;
-    const JsonValue* epoch = doc.value().Find("epoch");
-    epochs += '"';
-    epochs += JsonEscape(sub.camera);
-    epochs += "\":";
-    epochs += std::to_string(epoch != nullptr && epoch->is_number()
-                                 ? static_cast<int64_t>(epoch->number)
-                                 : 0);
-    const JsonValue* bags = doc.value().Find("bags");
+  JsonLineBuilder epochs;  // camera -> the epoch its sub-session now pins
+  for (size_t i = 0; i < session.subs.size(); ++i) {
+    const JsonValue& reply = replies.value()[i];
+    const JsonValue* epoch = reply.Find("epoch");
+    epochs.Int(session.subs[i].camera,
+               epoch != nullptr && epoch->is_number()
+                   ? static_cast<int64_t>(epoch->number)
+                   : 0);
+    const JsonValue* bags = reply.Find("bags");
     if (bags != nullptr && bags->is_number()) {
       total_bags += static_cast<int64_t>(bags->number);
     }
-    const JsonValue* moved = doc.value().Find("refreshed");
+    const JsonValue* moved = reply.Find("refreshed");
     if (moved != nullptr && moved->type == JsonValue::Type::kBool &&
         moved->bool_value) {
       refreshed = true;
     }
   }
-  epochs += '}';
 
   JsonLineBuilder out;
   out.Bool("ok", true)
       .Str("cmd", "refresh")
-      .Str("session", session->id)
-      .Int("cameras", static_cast<int64_t>(session->subs.size()))
+      .Str("session", session.id)
+      .Int("cameras", static_cast<int64_t>(session.subs.size()))
       .Int("bags", total_bags)
       .Bool("refreshed", refreshed)
-      .Raw("epochs", epochs);
+      .Raw("epochs", std::move(epochs).Build());
   return std::move(out).Build();
 }
 
@@ -1089,8 +1013,7 @@ std::string Coordinator::CmdCameraForward(const ServeRequest& req,
     WorkerConn* worker = registry_.Find(primary);
     if (worker == nullptr ||
         !worker->alive.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(ring_mu_);
-      ring_.Remove(primary);
+      DropFromRing(primary);
       continue;
     }
     Result<std::string> response = registry_.Call(*worker, line, deadline);
@@ -1101,13 +1024,8 @@ std::string Coordinator::CmdCameraForward(const ServeRequest& req,
       MIVID_METRIC_COUNT("cluster/malformed_replies", 1);
       registry_.MarkDead(*worker);
     }
-    {
-      std::lock_guard<std::mutex> lock(ring_mu_);
-      ring_.Remove(primary);
-    }
-    MIVID_METRIC_GAUGE_SET(
-        "cluster/workers_alive",
-        static_cast<int64_t>(registry_.AliveEndpoints().size()));
+    DropFromRing(primary);
+    MIVID_METRIC_GAUGE_SET("cluster/workers_alive", WorkersAlive());
     MIVID_LOG(Warn) << "camera '" << req.camera_id << "' "
                     << ServeCmdWireName(req.cmd) << " failing over from "
                     << primary;
@@ -1146,29 +1064,20 @@ std::string Coordinator::CmdStats() {
   }
   workers += ']';
 
-  std::string ids = "[";
+  std::vector<std::string> ids;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    bool first_id = true;
-    for (const auto& [id, session] : sessions_) {
-      if (!first_id) ids += ',';
-      first_id = false;
-      ids += '"';
-      ids += JsonEscape(id);
-      ids += '"';
-    }
+    for (const auto& [id, session] : sessions_) ids.push_back(id);
   }
-  ids += ']';
 
   JsonLineBuilder out;
   out.Bool("ok", true)
       .Str("cmd", "stats")
       .Str("role", "coordinator")
-      .Int("workers_alive",
-           static_cast<int64_t>(registry_.AliveEndpoints().size()))
+      .Int("workers_alive", WorkersAlive())
       .Raw("workers", workers)
-      .Int("sessions_open", static_cast<int64_t>(session_count()))
-      .Raw("sessions", ids);
+      .Int("sessions_open", static_cast<int64_t>(ids.size()))
+      .StrList("sessions", ids);
   return std::move(out).Build();
 }
 
@@ -1180,8 +1089,7 @@ std::string Coordinator::CmdPing() {
       .Str("version", kMividVersion)
       .Str("protocol_version", kProtocolVersion)
       .Int("uptime_s", UptimeSeconds())
-      .Int("workers_alive",
-           static_cast<int64_t>(registry_.AliveEndpoints().size()))
+      .Int("workers_alive", WorkersAlive())
       .Int("sessions_open", static_cast<int64_t>(session_count()));
   return std::move(out).Build();
 }
@@ -1206,11 +1114,8 @@ std::string Coordinator::CmdClusterStats() {
       workers_json += std::move(entry).Build();
       continue;
     }
-    Result<std::string> response = registry_.Call(
-        *worker, "{\"cmd\":\"metrics\"}",
-        options_.rpc_deadline_ms > 0
-            ? Deadline::AfterMs(options_.rpc_deadline_ms)
-            : Deadline());
+    Result<std::string> response =
+        registry_.Call(*worker, "{\"cmd\":\"metrics\"}", HopDeadline());
     if (!response.ok()) {
       entry.Bool("alive", false).Str("error",
                                      response.status().message());
@@ -1218,7 +1123,7 @@ std::string Coordinator::CmdClusterStats() {
       continue;
     }
     Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(response.value())) {
+    if (!doc.ok() || !ResponseOk(doc.value())) {
       entry.Bool("alive", true).Str(
           "error", "bad metrics response: " +
                        ResponseError(response.value()));
@@ -1271,8 +1176,7 @@ std::string Coordinator::CmdClusterStats() {
       .Str("role", "coordinator")
       .Str("version", kMividVersion)
       .Int("uptime_s", UptimeSeconds())
-      .Int("workers_alive",
-           static_cast<int64_t>(registry_.AliveEndpoints().size()))
+      .Int("workers_alive", WorkersAlive())
       .Int("workers_scraped", scraped)
       .Raw("workers", workers_json)
       .Raw("fleet", MetricsSnapshotToWireJson(fleet))
@@ -1298,14 +1202,11 @@ std::string Coordinator::CmdTraceDump() {
   int64_t workers_dumped = 0;
   for (const auto& worker : registry_.workers()) {
     if (!worker->alive.load(std::memory_order_acquire)) continue;
-    Result<std::string> response = registry_.Call(
-        *worker, "{\"cmd\":\"trace_dump\"}",
-        options_.rpc_deadline_ms > 0
-            ? Deadline::AfterMs(options_.rpc_deadline_ms)
-            : Deadline());
+    Result<std::string> response =
+        registry_.Call(*worker, "{\"cmd\":\"trace_dump\"}", HopDeadline());
     if (!response.ok()) continue;
     Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(response.value())) continue;
+    if (!doc.ok() || !ResponseOk(doc.value())) continue;
     const JsonValue* trace = doc.value().Find("trace");
     if (trace == nullptr || !trace->is_object()) continue;
     ProcessTrace input;
@@ -1330,6 +1231,19 @@ std::string Coordinator::CmdTraceDump() {
   return std::move(out).Build();
 }
 
+int64_t Coordinator::WorkersAlive() const {
+  return static_cast<int64_t>(registry_.AliveEndpoints().size());
+}
+
+void Coordinator::DropFromRing(const std::string& endpoint) {
+  std::lock_guard<std::mutex> lock(ring_mu_);
+  ring_.Remove(endpoint);
+}
+
+Deadline Coordinator::HopDeadline() const {
+  return Deadline().ClampedToMs(options_.rpc_deadline_ms);
+}
+
 int64_t Coordinator::UptimeSeconds() const {
   return std::chrono::duration_cast<std::chrono::seconds>(
              std::chrono::steady_clock::now() - start_time_)
@@ -1346,15 +1260,11 @@ void Coordinator::HeartbeatSweep() {
   last_heartbeat_ = now;
   // Probes are deadline-bounded so a hung worker cannot stall the sweep
   // (and with it the accept loop's idle callback) indefinitely.
-  const Deadline probe_deadline =
-      options_.rpc_deadline_ms > 0
-          ? Deadline::AfterMs(options_.rpc_deadline_ms)
-          : Deadline();
+  const Deadline probe_deadline = HopDeadline();
   for (const auto& worker : registry_.workers()) {
     if (worker->alive.load(std::memory_order_acquire)) {
       if (!registry_.Ping(*worker, probe_deadline)) {
-        std::lock_guard<std::mutex> lock(ring_mu_);
-        ring_.Remove(worker->endpoint);
+        DropFromRing(worker->endpoint);
       }
     } else if (registry_.Reconnect(*worker).ok() &&
                registry_.Ping(*worker, probe_deadline)) {
@@ -1366,9 +1276,7 @@ void Coordinator::HeartbeatSweep() {
                       << " rejoined the ring";
     }
   }
-  MIVID_METRIC_GAUGE_SET(
-      "cluster/workers_alive",
-      static_cast<int64_t>(registry_.AliveEndpoints().size()));
+  MIVID_METRIC_GAUGE_SET("cluster/workers_alive", WorkersAlive());
 }
 
 }  // namespace mivid

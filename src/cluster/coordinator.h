@@ -5,16 +5,20 @@
 // same NDJSON protocol as a single worker. Clients do not know the
 // fleet exists:
 //
-//  * open/feedback/save/close route to the session's home worker — the
-//    consistent-hash owner of the session's camera.
-//  * rank on a single-camera session is pure passthrough: the worker's
-//    response line is relayed byte-for-byte, so a client sees exactly
-//    what a single-process mivid_serve would have sent.
-//  * open with "cameras":[...] spans a session over several corpora:
-//    the coordinator opens one sub-session per camera (id "<id>-<cam>")
-//    on that camera's owner, scatters rank across the owners in
-//    parallel, and merges the exact per-corpus top-k (cluster/merger.h)
-//    into one camera-tagged ranking.
+//  * A session lives on its camera's home worker — the consistent-hash
+//    owner of the camera. open with "cameras":[...] spans a session over
+//    several corpora: one sub-session per camera (id "<id>-<cam>") on
+//    that camera's owner.
+//  * Every session-addressed command (rank, feedback, save, close,
+//    refresh) follows one rule. On a single-camera session the line is
+//    relayed byte-for-byte and so is the worker's reply, so a client
+//    sees exactly what a single-process mivid_serve would have sent. On
+//    a multi-camera session feedback, save, close and refresh fan out
+//    to the sub-sessions one after another, mirrored like every write;
+//    rank scatters to them in parallel and merges the exact per-corpus
+//    top-k (cluster/merger.h) into one camera-tagged ranking.
+//  * ingest and publish name a camera, not a session: they go to the
+//    camera's primary owner only.
 //
 // Failover: a transport error marks the worker dead and removes it from
 // the ring. Affected sessions are not touched eagerly — the next
@@ -33,12 +37,12 @@
 //    so a hung worker costs one budget slice, not a stuck fleet.
 //  * Replication: with replication > 1 each camera's sub-session is
 //    opened on that many distinct ring owners. Writes (open, feedback,
-//    save, close) go to the primary and are mirrored best-effort to the
-//    other replicas; since replicas share the db and feedback journaling
-//    rewrites the full deterministic session state, mirrored writes are
-//    idempotent. rank routes to the fastest live replica (EWMA latency)
-//    and retries the next one when a slice of the budget expires — a
-//    hedged retry.
+//    save, close, refresh) go to the primary and are mirrored
+//    best-effort to the other replicas; since replicas share the db and
+//    feedback journaling rewrites the full deterministic session state,
+//    mirrored writes are idempotent. rank routes to the fastest live
+//    replica (EWMA latency) and retries the next one when a slice of the
+//    budget expires — a hedged retry.
 //  * Degraded responses: a multi-camera rank whose camera has no live
 //    replica left returns the merged ranking of the surviving cameras
 //    plus "degraded":{"missing_cameras":[...]} instead of failing the
@@ -50,6 +54,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +66,7 @@
 #include "common/deadline.h"
 #include "common/status.h"
 #include "obs/access_log.h"
+#include "obs/json.h"
 #include "serve/line_transport.h"
 #include "serve/protocol.h"
 
@@ -139,8 +145,16 @@ class Coordinator {
     std::string id;
     std::string engine;  ///< as requested at open ("" = worker default)
     bool multi = false;  ///< true when opened with "cameras":[...]
-    std::vector<SubSession> subs;  ///< one per camera, open order
+    /// One per camera, open order. Empty until open places the cameras,
+    /// and again once the session is dropped: such a session is not open.
+    std::vector<SubSession> subs;
     std::mutex mu;  ///< serializes requests touching this session
+
+    std::vector<std::string> cameras() const {
+      std::vector<std::string> names;
+      for (const SubSession& sub : subs) names.push_back(sub.camera);
+      return names;
+    }
   };
 
   /// HandleLine minus tracing/audit bookkeeping: routes one parsed
@@ -152,17 +166,41 @@ class Coordinator {
 
   std::string CmdOpen(const ServeRequest& req, const std::string& line,
                       const Deadline& deadline);
-  std::string CmdRank(const ServeRequest& req, const std::string& line,
-                      const Deadline& deadline);
-  std::string CmdFeedback(const ServeRequest& req, const std::string& line,
-                          const Deadline& deadline);
-  std::string CmdForward(const ServeRequest& req, const std::string& line,
+  /// Every session-addressed command (rank, feedback, save, close,
+  /// refresh): one lookup (NOT_FOUND unless the session has placed
+  /// subs) under the session's mutex, then the single-camera relay —
+  /// the line byte-for-byte to the camera's worker, rank via CallSub,
+  /// the rest via MirrorSub — or the command's multi-camera handler.
+  /// A successful close drops the session.
+  std::string CmdSession(const ServeRequest& req, const std::string& line,
                          const Deadline& deadline);
-  /// refresh: re-pins the session's sub-session(s) onto their cameras'
-  /// latest epochs. Single-camera relays the line; multi-camera fans out
-  /// and reports per-camera epochs.
-  std::string CmdRefresh(const ServeRequest& req, const std::string& line,
-                         const Deadline& deadline);
+
+  // Multi-camera handlers, called by CmdSession with `session.mu` held;
+  // each keeps only its own aggregation of the sub-sessions' replies.
+  std::string MultiRank(const ServeRequest& req, CoordSession& session,
+                        const Deadline& deadline);
+  std::string MultiFeedback(const ServeRequest& req, CoordSession& session,
+                            const Deadline& deadline);
+  std::string MultiSaveOrClose(const ServeRequest& req,
+                               CoordSession& session,
+                               const Deadline& deadline);
+  std::string MultiRefresh(CoordSession& session, const Deadline& deadline);
+
+  /// Sequential mirrored fan-out over `session.subs` in open order: each
+  /// sub for which `line_for` returns a non-empty line gets it through
+  /// MirrorSub (built right before its send, so a stamped budget is
+  /// current). Returns the parsed replies, index-aligned with the subs
+  /// (null for skipped subs), or the first failure: the transport
+  /// status, or "<cmd> on camera '<cam>' failed: ...".
+  Result<std::vector<JsonValue>> FanOut(
+      CoordSession& session, ServeCmd cmd,
+      const std::function<std::string(const SubSession&)>& line_for,
+      const Deadline& deadline);
+
+  /// Unregisters `session` (caller holds `session.mu`) and clears its
+  /// subs, so requests that looked it up just before answer NOT_FOUND.
+  void DropSession(CoordSession& session);
+
   /// Camera-addressed, sessionless relay (ingest, publish): the line
   /// goes to the camera's primary ring owner only. Replicas share the
   /// db, so mirroring an ingest would double-persist every clip; they
@@ -176,6 +214,15 @@ class Coordinator {
   std::string CmdTraceDump();
 
   int64_t UptimeSeconds() const;
+
+  int64_t WorkersAlive() const;
+  /// Stops placement from handing out `endpoint` (the heartbeat
+  /// re-admits it when it answers again).
+  void DropFromRing(const std::string& endpoint);
+
+  /// Budget of one coordinator-originated worker call: rpc_deadline_ms
+  /// from now, or infinite when that is 0.
+  Deadline HopDeadline() const;
 
   /// Sends `line` to one of `sub`'s replicas, walking them in order
   /// ([0]-first, or fastest-EWMA-first when `prefer_fastest`). With a
@@ -206,7 +253,9 @@ class Coordinator {
   /// workers. FailedPrecondition when the ring is empty.
   Result<std::vector<std::string>> PlaceCamera(const std::string& camera);
 
-  /// {"cmd":"open",...} line that (re)creates `sub` on its worker.
+  /// {"cmd":"open",...} line that (re)creates `sub` on its worker, for
+  /// a multi-camera open and for failover re-open. It carries no
+  /// deadline_ms.
   std::string OpenLineFor(const CoordSession& session,
                           const SubSession& sub) const;
 

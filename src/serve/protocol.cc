@@ -76,8 +76,8 @@ constexpr CmdName kCommands[] = {
 };
 
 // Parallel to ServeCmd values: wire names and the span names used when
-// tracing the execution of each command (literals — span names must
-// outlive the trace).
+// tracing the execution of each command on a worker and on the
+// coordinator (literals — span names must outlive the trace).
 constexpr const char* kWireNames[] = {
     "open", "rank", "feedback", "save", "close", "stats",
     "shutdown", "ping", "metrics", "cluster_stats", "trace_dump",
@@ -89,6 +89,22 @@ constexpr const char* kSpanNames[] = {
     "serve/metrics", "serve/cluster_stats", "serve/trace_dump",
     "serve/ingest", "serve/refresh", "serve/publish",
 };
+constexpr const char* kCoordSpanNames[] = {
+    "coord/open", "coord/rank", "coord/feedback", "coord/save",
+    "coord/close", "coord/stats", "coord/shutdown", "coord/ping",
+    "coord/metrics", "coord/cluster_stats", "coord/trace_dump",
+    "coord/ingest", "coord/refresh", "coord/publish",
+};
+static_assert(std::size(kSpanNames) == std::size(kWireNames) &&
+              std::size(kCoordSpanNames) == std::size(kWireNames));
+
+/// `table[cmd]`, or `fallback` for a value outside the table.
+template <size_t N>
+const char* NameOf(const char* const (&table)[N], ServeCmd cmd,
+                   const char* fallback) {
+  const size_t index = static_cast<size_t>(cmd);
+  return index < N ? table[index] : fallback;
+}
 
 /// Validates the optional "v" protocol version field: an integer major
 /// or a "major[.minor]" string. Majors must match (different major =
@@ -343,13 +359,15 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
 }
 
 const char* ServeCmdWireName(ServeCmd cmd) {
-  const size_t index = static_cast<size_t>(cmd);
-  return index < std::size(kWireNames) ? kWireNames[index] : "?";
+  return NameOf(kWireNames, cmd, "?");
 }
 
 const char* ServeCmdSpanName(ServeCmd cmd) {
-  const size_t index = static_cast<size_t>(cmd);
-  return index < std::size(kSpanNames) ? kSpanNames[index] : "serve/other";
+  return NameOf(kSpanNames, cmd, "serve/other");
+}
+
+const char* ServeCmdCoordSpanName(ServeCmd cmd) {
+  return NameOf(kCoordSpanNames, cmd, "coord/other");
 }
 
 namespace {
@@ -485,6 +503,20 @@ JsonLineBuilder& JsonLineBuilder::Num(std::string_view key, double value) {
 JsonLineBuilder& JsonLineBuilder::Bool(std::string_view key, bool value) {
   Key(key);
   out_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonLineBuilder& JsonLineBuilder::StrList(
+    std::string_view key, const std::vector<std::string>& values) {
+  Key(key);
+  out_ += '[';
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out_ += ',';
+    out_ += '"';
+    out_ += JsonEscape(values[i]);
+    out_ += '"';
+  }
+  out_ += ']';
   return *this;
 }
 

@@ -129,6 +129,10 @@ const char* ServeCmdWireName(ServeCmd cmd);
 /// Stable span name for tracing one command on a worker ("serve/rank").
 const char* ServeCmdSpanName(ServeCmd cmd);
 
+/// Stable span name for tracing one command on the coordinator
+/// ("coord/rank").
+const char* ServeCmdCoordSpanName(ServeCmd cmd);
+
 /// Returns `line` with `"trace"`/`"span"` members appended to the
 /// top-level object — the coordinator uses it to stamp a trace context
 /// onto a request it relays verbatim. The caller must only stamp lines
@@ -166,6 +170,9 @@ class JsonLineBuilder {
   JsonLineBuilder& Int(std::string_view key, int64_t value);
   JsonLineBuilder& Num(std::string_view key, double value);
   JsonLineBuilder& Bool(std::string_view key, bool value);
+  /// A JSON array of strings, each escaped.
+  JsonLineBuilder& StrList(std::string_view key,
+                           const std::vector<std::string>& values);
   JsonLineBuilder& Raw(std::string_view key, std::string_view json);
   std::string Build() &&;
 

@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "common/version.h"
 #include "linalg/simd.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/metrics_wire.h"
 #include "obs/trace.h"
@@ -431,22 +430,12 @@ std::string RetrievalServer::CmdClose(const ServeRequest& req) {
 
 std::string RetrievalServer::CmdStats(const ServeRequest&) {
   const CorpusManager::Stats corpus = corpora_.stats();
-  std::string ids = "[";
-  bool first = true;
-  for (const std::string& id : sessions_.open_ids()) {
-    if (!first) ids += ',';
-    first = false;
-    ids += '"';
-    ids += JsonEscape(id);
-    ids += '"';
-  }
-  ids += ']';
   JsonLineBuilder out;
   out.Bool("ok", true)
       .Str("cmd", "stats")
       .Str("worker", options_.worker_id)
       .Int("sessions_open", static_cast<int64_t>(sessions_.open_count()))
-      .Raw("sessions", ids)
+      .StrList("sessions", sessions_.open_ids())
       .Int("corpora_cached", static_cast<int64_t>(corpus.cached))
       .Int("corpus_cache_hits", static_cast<int64_t>(corpus.hits))
       .Int("corpus_cache_misses", static_cast<int64_t>(corpus.misses))
@@ -469,16 +458,6 @@ std::string RetrievalServer::CmdPing(const ServeRequest&) {
   // Health probe for the cluster coordinator and fleet dashboard:
   // identity, build/SIMD tier/uptime (what is running, not just that it
   // runs), plus the shards (cameras) this worker currently holds.
-  std::string cameras = "[";
-  bool first = true;
-  for (const std::string& camera : corpora_.cached_cameras()) {
-    if (!first) cameras += ',';
-    first = false;
-    cameras += '"';
-    cameras += JsonEscape(camera);
-    cameras += '"';
-  }
-  cameras += ']';
   const CorpusManager::Stats corpus = corpora_.stats();
   JsonLineBuilder out;
   out.Bool("ok", true)
@@ -490,7 +469,7 @@ std::string RetrievalServer::CmdPing(const ServeRequest&) {
       .Str("simd", SimdTierName(ActiveSimdTier()))
       .Int("uptime_s", UptimeSeconds())
       .Int("sessions_open", static_cast<int64_t>(sessions_.open_count()))
-      .Raw("cameras", cameras)
+      .StrList("cameras", corpora_.cached_cameras())
       .Int("corpora_cached", static_cast<int64_t>(corpus.cached))
       .Int("snapshot_hits", static_cast<int64_t>(corpus.snapshot_hits))
       .Int("snapshot_writes", static_cast<int64_t>(corpus.snapshot_writes))

@@ -6,11 +6,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "obs/json.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
+#include "ingest_lines.h"
 
 namespace mivid {
 namespace {
@@ -268,20 +272,20 @@ ClusterTestEnv& Env() {
   return *env;
 }
 
-/// A 3-worker fleet over Env()'s database, each worker a real
-/// RetrievalServer on an ephemeral loopback TCP port.
+/// A 3-worker fleet over one database (Env()'s by default), each worker
+/// a real RetrievalServer on an ephemeral loopback TCP port.
 struct Fleet {
   std::vector<std::unique_ptr<RetrievalServer>> workers;
   std::vector<std::string> endpoints;
   std::unique_ptr<Coordinator> coord;
 
-  explicit Fleet(int heartbeat_ms = 0) {
+  explicit Fleet(VideoDb* db = nullptr) {
+    if (db == nullptr) db = Env().db.get();
     for (int i = 0; i < 3; ++i) {
       ServeOptions options;
       options.tcp_port = 0;  // kernel-assigned: tests never collide
       options.worker_id = "w" + std::to_string(i);
-      auto server =
-          std::make_unique<RetrievalServer>(Env().db.get(), options);
+      auto server = std::make_unique<RetrievalServer>(db, options);
       if (!server->Start().ok()) std::abort();
       endpoints.push_back("127.0.0.1:" +
                           std::to_string(server->tcp_port()));
@@ -290,7 +294,6 @@ struct Fleet {
     CoordinatorOptions options;
     options.tcp_port = 0;
     options.workers = endpoints;
-    options.heartbeat_ms = heartbeat_ms;
     coord = std::make_unique<Coordinator>(options);
     if (!coord->Start().ok()) std::abort();
   }
@@ -519,6 +522,277 @@ TEST(ClusterTest, AllWorkersDeadReportsFailedPrecondition) {
   const JsonValue* code = rank.Find("code");
   ASSERT_NE(code, nullptr);
   EXPECT_EQ(code->string, "FAILED_PRECONDITION");
+}
+
+// ---------------------------------------------------------------------------
+// Session-addressed commands on multi-camera sessions, camera-addressed
+// relays (ingest/publish), and lookups racing an open that fails.
+
+std::string CodeOf(const JsonValue& doc) {
+  const JsonValue* code = doc.Find("code");
+  return code != nullptr && code->is_string() ? code->string : "";
+}
+
+/// Sessions a worker holds, from its own stats.
+std::set<std::string> WorkerSessions(RetrievalServer& worker) {
+  const JsonValue stats = Parse(worker.HandleLine(R"({"cmd":"stats"})"));
+  std::set<std::string> ids;
+  if (const JsonValue* sessions = stats.Find("sessions");
+      sessions != nullptr && sessions->is_array()) {
+    for (const JsonValue& id : sessions->array) ids.insert(id.string);
+  }
+  return ids;
+}
+
+/// Indices of the workers the coordinator has sent requests to.
+std::vector<int> BusyWorkers(Fleet& fleet) {
+  const JsonValue stats = Parse(fleet.Call(R"({"cmd":"stats"})"));
+  std::vector<int> busy;
+  const JsonValue* workers = stats.Find("workers");
+  if (workers == nullptr || !workers->is_array()) return busy;
+  for (size_t i = 0; i < workers->array.size(); ++i) {
+    if (workers->array[i].Find("requests")->number > 0) {
+      busy.push_back(static_cast<int>(i));
+    }
+  }
+  return busy;
+}
+
+std::unique_ptr<VideoDb> OpenEmptyDb(const std::string& path) {
+  VideoDbOptions options;
+  options.create_if_missing = true;
+  auto opened = VideoDb::Open(path, options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? std::move(opened).value() : nullptr;
+}
+
+/// One streamed tunnel clip as frame observations plus its incidents.
+struct StreamedClip {
+  std::vector<FrameObservations> frames;
+  std::vector<IncidentRecord> incidents;
+};
+
+StreamedClip SimulateStream(int total_frames) {
+  TunnelScenarioOptions options;
+  options.total_frames = total_frames;
+  options.num_wall_crashes = 1;
+  options.num_sudden_stops = 1;
+  options.num_speeding = 0;
+  options.num_uturns = 0;
+  TrafficWorld world(MakeTunnelScenario(options));
+  const GroundTruth gt = world.Run();
+  return StreamedClip{test::FramesFromTracks(gt.tracks, gt.total_frames),
+                      gt.incidents};
+}
+
+TEST(ClusterTest, MultiCameraSaveRefreshCloseFanOutToEverySubSession) {
+  Fleet fleet;
+  const JsonValue open = Parse(fleet.Call(
+      R"({"cmd":"open","session":"fan1","cameras":["cam0","cam1","cam2"]})"));
+  ASSERT_TRUE(IsOk(open));
+  const int64_t bags = static_cast<int64_t>(open.Find("bags")->number);
+  ASSERT_GT(bags, 0);
+  ASSERT_TRUE(IsOk(Parse(fleet.Call(
+      R"({"cmd":"feedback","session":"fan1","labels":[)"
+      R"({"bag":0,"label":"relevant","camera":"cam1"}]})"))));
+
+  // Every camera's sub-session lives on some worker.
+  std::set<std::string> held;
+  for (auto& worker : fleet.workers) {
+    for (const std::string& id : WorkerSessions(*worker)) held.insert(id);
+  }
+  EXPECT_EQ(held, (std::set<std::string>{"fan1-cam0", "fan1-cam1",
+                                         "fan1-cam2"}));
+
+  EXPECT_EQ(fleet.Call(R"({"cmd":"save","session":"fan1"})"),
+            R"({"ok":true,"cmd":"save","session":"fan1","cameras":3})");
+
+  // Nothing was published since the cold loads, so every sub-session
+  // stays on its camera's first epoch.
+  EXPECT_EQ(fleet.Call(R"({"cmd":"refresh","session":"fan1"})"),
+            R"({"ok":true,"cmd":"refresh","session":"fan1","cameras":3,)"
+            R"("bags":)" + std::to_string(bags) +
+                R"(,"refreshed":false,)"
+                R"("epochs":{"cam0":1,"cam1":1,"cam2":1}})");
+
+  EXPECT_EQ(
+      fleet.Call(R"({"cmd":"close","session":"fan1"})"),
+      R"({"ok":true,"cmd":"close","session":"fan1","cameras":3,"journaled":true})");
+  EXPECT_EQ(fleet.coord->session_count(), 0u);
+  for (auto& worker : fleet.workers) {
+    EXPECT_TRUE(WorkerSessions(*worker).empty());
+  }
+  const JsonValue gone =
+      Parse(fleet.Call(R"({"cmd":"rank","session":"fan1"})"));
+  EXPECT_FALSE(IsOk(gone));
+  EXPECT_EQ(CodeOf(gone), "NOT_FOUND");
+}
+
+TEST(ClusterTest, CameraRelayedIngestAndPublishMatchTheOwningWorker) {
+  // Two identical (empty) databases: one behind the fleet, one behind a
+  // lone worker that receives the same lines directly.
+  TempDir fleet_dir("mivid_cluster_ingest_fleet");
+  TempDir solo_dir("mivid_cluster_ingest_solo");
+  std::unique_ptr<VideoDb> fleet_db = OpenEmptyDb(fleet_dir.path());
+  std::unique_ptr<VideoDb> solo_db = OpenEmptyDb(solo_dir.path());
+  ASSERT_TRUE(fleet_db != nullptr && solo_db != nullptr);
+  Fleet fleet(fleet_db.get());
+  RetrievalServer solo(solo_db.get(), ServeOptions{});
+
+  const StreamedClip clip = SimulateStream(500);
+  const size_t half = clip.frames.size() / 2;
+  const std::vector<std::string> script = {
+      test::IngestLine("live0",
+                       {clip.frames.begin(), clip.frames.begin() + half}, {},
+                       /*cut=*/false, /*publish=*/false),
+      test::IngestLine("live0",
+                       {clip.frames.begin() + half, clip.frames.end()},
+                       clip.incidents, /*cut=*/true, /*publish=*/false),
+      R"({"cmd":"publish","camera":"live0"})",
+      R"({"cmd":"open","session":"live","camera":"live0"})",
+      R"({"cmd":"rank","session":"live","top":-1})",
+  };
+  for (const std::string& line : script) {
+    SCOPED_TRACE(line.substr(0, 60));
+    const std::string fleet_response = fleet.Call(line);
+    EXPECT_EQ(fleet_response, solo.HandleLine(line));
+    ASSERT_TRUE(IsOk(Parse(fleet_response))) << fleet_response;
+  }
+  // Only the camera's primary owner saw the stream.
+  EXPECT_EQ(BusyWorkers(fleet).size(), 1u);
+}
+
+TEST(ClusterTest, IngestFailsOverToTheNextRingOwner) {
+  TempDir fleet_dir("mivid_cluster_ingest_failover");
+  TempDir solo_dir("mivid_cluster_ingest_failover_solo");
+  std::unique_ptr<VideoDb> fleet_db = OpenEmptyDb(fleet_dir.path());
+  std::unique_ptr<VideoDb> solo_db = OpenEmptyDb(solo_dir.path());
+  ASSERT_TRUE(fleet_db != nullptr && solo_db != nullptr);
+  Fleet fleet(fleet_db.get());
+
+  const StreamedClip clip = SimulateStream(500);
+  const size_t half = clip.frames.size() / 2;
+  ASSERT_TRUE(IsOk(Parse(fleet.Call(test::IngestLine(
+      "live1", {clip.frames.begin(), clip.frames.begin() + half}, {},
+      /*cut=*/false, /*publish=*/false)))));
+  const std::vector<int> owner = BusyWorkers(fleet);
+  ASSERT_EQ(owner.size(), 1u);
+  fleet.workers[owner[0]]->Stop();
+
+  // The next batch lands on the next ring owner: a fresh ingestor that
+  // never saw the first half (its frames died with the old owner). It
+  // answers exactly as a lone worker given only this batch would.
+  const std::string rest = test::IngestLine(
+      "live1", {clip.frames.begin() + half, clip.frames.end()},
+      clip.incidents, /*cut=*/true, /*publish=*/true);
+  RetrievalServer solo(solo_db.get(), ServeOptions{});
+  const std::string fleet_response = fleet.Call(rest);
+  ASSERT_TRUE(IsOk(Parse(fleet_response))) << fleet_response;
+  EXPECT_EQ(fleet_response, solo.HandleLine(rest));
+
+  const JsonValue stats = Parse(fleet.Call(R"({"cmd":"stats"})"));
+  EXPECT_EQ(stats.Find("workers_alive")->number, 2);
+  const std::vector<int> busy = BusyWorkers(fleet);
+  EXPECT_EQ(busy.size(), 2u);
+
+  // The new home serves the published clip.
+  for (const std::string line :
+       {R"({"cmd":"open","session":"fo3","camera":"live1"})",
+        R"({"cmd":"rank","session":"fo3","top":-1})"}) {
+    SCOPED_TRACE(line);
+    const std::string response = fleet.Call(line);
+    EXPECT_EQ(response, solo.HandleLine(line));
+    EXPECT_TRUE(IsOk(Parse(response))) << response;
+  }
+}
+
+TEST(ClusterTest, SessionCommandsRacingAFailedOpenGetCleanErrors) {
+  Fleet fleet;
+  for (auto& worker : fleet.workers) worker->Stop();
+  // The first open walks every dead worker off the placement ring.
+  const JsonValue first = Parse(
+      fleet.Call(R"({"cmd":"open","session":"race0","camera":"cam0"})"));
+  ASSERT_FALSE(IsOk(first));
+  ASSERT_EQ(CodeOf(first), "FAILED_PRECONDITION");
+
+  // Each later open of race1 registers the session, fails to place it,
+  // and drops it again; session commands racing it must see either no
+  // session or a clean error, never a half-built one.
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_replies{0};
+  std::atomic<int> replies{0};
+  const std::vector<std::string> commands = {
+      R"({"cmd":"rank","session":"race1"})",
+      R"({"cmd":"feedback","session":"race1","labels":[{"bag":0,"label":"relevant"}]})",
+      R"({"cmd":"save","session":"race1"})",
+      R"({"cmd":"refresh","session":"race1"})",
+      R"({"cmd":"close","session":"race1"})",
+  };
+  std::vector<std::thread> racers;
+  for (int t = 0; t < 2; ++t) {
+    racers.emplace_back([&, t] {
+      for (size_t i = static_cast<size_t>(t); !done.load(); ++i) {
+        Result<JsonValue> doc =
+            ParseJson(fleet.Call(commands[i % commands.size()]));
+        const std::string code =
+            doc.ok() ? CodeOf(doc.value()) : std::string();
+        if (!doc.ok() || IsOk(doc.value()) ||
+            (code != "NOT_FOUND" && code != "FAILED_PRECONDITION")) {
+          bad_replies.fetch_add(1);
+        }
+        replies.fetch_add(1);
+      }
+    });
+  }
+  // The window between an open registering the session and dropping it
+  // is microseconds wide, so open many times, and keep going until the
+  // racers (which may start late) have made plenty of calls.
+  int opens = 0;
+  int failed_opens = 0;
+  while (opens < 200000 && (opens < 50000 || replies.load() < 4000)) {
+    const JsonValue open = Parse(
+        fleet.Call(R"({"cmd":"open","session":"race1","camera":"cam0"})"));
+    if (!IsOk(open) && CodeOf(open) == "FAILED_PRECONDITION") ++failed_opens;
+    ++opens;
+  }
+  done.store(true);
+  for (std::thread& racer : racers) racer.join();
+  EXPECT_EQ(failed_opens, opens);
+  EXPECT_GE(replies.load(), 4000);
+  EXPECT_EQ(bad_replies.load(), 0);
+  EXPECT_EQ(fleet.coord->session_count(), 0u);
+}
+
+TEST(ClusterTest, OpenRacingAFailedOpenOfTheSameIdStaysRoutable) {
+  Fleet fleet;
+  // Every open of "orph" with this layout registers the session, places
+  // 200 cameras, then drops it again: the last camera does not yield a
+  // valid sub-session id. Nothing reaches a worker.
+  std::string bad_open = R"({"cmd":"open","session":"orph","cameras":[)";
+  for (int i = 0; i < 200; ++i) bad_open += "\"c" + std::to_string(i) + "\",";
+  bad_open += "\"" + std::string(64, 'x') + "\"]}";
+  std::atomic<bool> done{false};
+  std::thread failing_opener([&] {
+    while (!done.load()) fleet.Call(bad_open);
+  });
+
+  // A good open that waited behind a failing one must still open the
+  // session, and the coordinator must go on routing it.
+  int failed = 0;
+  for (int i = 0; i < 300; ++i) {
+    const JsonValue open = Parse(fleet.Call(
+        R"({"cmd":"open","session":"orph","cameras":["cam0"]})"));
+    const JsonValue rank =
+        Parse(fleet.Call(R"({"cmd":"rank","session":"orph","top":1})"));
+    if (!IsOk(open) || !IsOk(rank)) ++failed;
+    fleet.Call(R"({"cmd":"close","session":"orph","discard":true})");
+    // While "orph" is open the failing opener only re-opens it; give it
+    // time to register and drop its own.
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  done.store(true);
+  failing_opener.join();
+  EXPECT_EQ(failed, 0);
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
+#include "ingest_lines.h"
 
 namespace mivid {
 namespace {
@@ -66,27 +67,8 @@ GroundTruth SimulateTunnel(int total_frames, uint64_t seed) {
   return world.Run();
 }
 
-/// Replays stored tracks as the per-frame observation stream a live
-/// tracker front end would deliver. `frame_offset` shifts the clip into
-/// absolute stream frames.
-std::vector<FrameObservations> FramesFromTracks(
-    const std::vector<Track>& tracks, int total_frames, int frame_offset = 0) {
-  std::vector<FrameObservations> frames(total_frames);
-  for (int f = 0; f < total_frames; ++f) {
-    frames[f].frame = frame_offset + f;
-  }
-  for (const Track& track : tracks) {
-    for (const TrackPoint& point : track.points) {
-      if (point.frame < 0 || point.frame >= total_frames) continue;
-      TrackObservation obs;
-      obs.track_id = track.id;
-      obs.centroid = point.centroid;
-      obs.bbox = point.bbox;
-      frames[point.frame].observations.push_back(obs);
-    }
-  }
-  return frames;
-}
+using test::FramesFromTracks;
+using test::IngestLine;
 
 void ExpectPointBitIdentical(const SamplingPointFeatures& got,
                              const SamplingPointFeatures& want) {
@@ -624,48 +606,6 @@ int64_t IntField(const JsonValue& doc, const char* key) {
   const JsonValue* v = doc.Find(key);
   EXPECT_TRUE(v != nullptr && v->is_number()) << key;
   return v != nullptr && v->is_number() ? static_cast<int64_t>(v->number) : -1;
-}
-
-/// Serializes a frame batch as one `ingest` request line. %.17g keeps
-/// the JSON round-trip of every coordinate bit-exact.
-std::string IngestLine(const std::string& camera,
-                       const std::vector<FrameObservations>& frames,
-                       const std::vector<IncidentRecord>& incidents,
-                       bool cut, bool publish) {
-  std::string line = "{\"cmd\":\"ingest\",\"v\":\"1.1\",\"camera\":\"" +
-                     camera + "\",\"frames\":[";
-  for (size_t f = 0; f < frames.size(); ++f) {
-    if (f > 0) line += ',';
-    line += "{\"frame\":" + std::to_string(frames[f].frame) + ",\"obs\":[";
-    for (size_t o = 0; o < frames[f].observations.size(); ++o) {
-      const TrackObservation& obs = frames[f].observations[o];
-      if (o > 0) line += ',';
-      line += StrFormat(
-          "{\"track\":%d,\"x\":%.17g,\"y\":%.17g,"
-          "\"bbox\":[%.17g,%.17g,%.17g,%.17g]}",
-          obs.track_id, obs.centroid.x, obs.centroid.y, obs.bbox.min_x,
-          obs.bbox.min_y, obs.bbox.max_x, obs.bbox.max_y);
-    }
-    line += "]}";
-  }
-  line += "],\"incidents\":[";
-  for (size_t i = 0; i < incidents.size(); ++i) {
-    if (i > 0) line += ',';
-    line += StrFormat("{\"type\":\"%s\",\"begin\":%d,\"end\":%d,\"vehicles\":[",
-                      IncidentTypeName(incidents[i].type),
-                      incidents[i].begin_frame, incidents[i].end_frame);
-    for (size_t v = 0; v < incidents[i].vehicle_ids.size(); ++v) {
-      if (v > 0) line += ',';
-      line += std::to_string(incidents[i].vehicle_ids[v]);
-    }
-    line += "]}";
-  }
-  line += "],\"cut\":";
-  line += cut ? "true" : "false";
-  line += ",\"publish\":";
-  line += publish ? "true" : "false";
-  line += "}";
-  return line;
 }
 
 std::vector<IncidentRecord> ShiftIncidents(

@@ -184,6 +184,23 @@ TEST(ServeProtocolTest, ValidSessionIds) {
   EXPECT_FALSE(ValidSessionId(std::string(65, 'a')));
 }
 
+TEST(ServeProtocolTest, StrListWritesAnEscapedStringArray) {
+  JsonLineBuilder out;
+  out.StrList("none", {}).StrList("ids", {"s1", "a\"b", "c\\d"});
+  EXPECT_EQ(std::move(out).Build(),
+            R"({"none":[],"ids":["s1","a\"b","c\\d"]})");
+}
+
+TEST(ServeProtocolTest, CommandSpanNamesPerRole) {
+  EXPECT_STREQ(ServeCmdSpanName(ServeCmd::kRank), "serve/rank");
+  EXPECT_STREQ(ServeCmdCoordSpanName(ServeCmd::kRank), "coord/rank");
+  EXPECT_STREQ(ServeCmdCoordSpanName(ServeCmd::kClusterStats),
+               "coord/cluster_stats");
+  EXPECT_STREQ(ServeCmdCoordSpanName(ServeCmd::kPublish), "coord/publish");
+  EXPECT_STREQ(ServeCmdCoordSpanName(static_cast<ServeCmd>(200)),
+               "coord/other");
+}
+
 TEST(ServeProtocolTest, ErrorResponseCarriesWireCode) {
   const JsonValue doc =
       Parse(ErrorResponse(Status::ResourceExhausted("queue full")));
