@@ -46,16 +46,14 @@ double Rng::Gaussian() {
     return cached_gaussian_;
   }
   double u1, u2;
-  GaussianUniforms(&u1, &u2);
-  const std::pair<double, double> pair = BoxMuller(u1, u2);
-  cached_gaussian_ = pair.second;
-  has_cached_gaussian_ = true;
-  return pair.first;
-}
-
-std::pair<double, double> BoxMuller(double u1, double u2) {
+  do {
+    u1 = Uniform();
+  } while (u1 <= 1e-300);
+  u2 = Uniform();
   const double mag = std::sqrt(-2.0 * std::log(u1));
-  return {mag * std::cos(2.0 * M_PI * u2), mag * std::sin(2.0 * M_PI * u2)};
+  cached_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
+  has_cached_gaussian_ = true;
+  return mag * std::cos(2.0 * M_PI * u2);
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }

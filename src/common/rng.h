@@ -47,24 +47,6 @@ class Rng {
   /// Standard normal via Box-Muller (cached second value).
   double Gaussian();
 
-  /// True when the next Gaussian() returns the cached second value of
-  /// the last pair instead of drawing a new one.
-  bool HasCachedGaussian() const { return has_cached_gaussian_; }
-
-  /// Draws the uniforms of the next Box-Muller pair exactly as Gaussian()
-  /// does: u1 in (0, 1), redrawn while u1 <= 1e-300 (which happens exactly
-  /// when Next() >> 11 == 0), then u2 in [0, 1). Bulk consumers (the SIMD
-  /// noise kernel) transform them with BoxMuller themselves; the cached
-  /// second value is left untouched.
-  void GaussianUniforms(double* u1, double* u2) {
-    uint64_t k1 = 0;
-    do {
-      k1 = Next() >> 11;
-    } while (k1 == 0);
-    *u1 = static_cast<double>(k1) * 0x1.0p-53;
-    *u2 = static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) {
     return mean + stddev * Gaussian();
@@ -94,12 +76,6 @@ class Rng {
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
-
-/// The two normals of one Box-Muller pair: `first` = mag * cos(2 pi u2) is
-/// what Gaussian() returns, `second` = mag * sin(2 pi u2) what it caches,
-/// with mag = sqrt(-2 log u1). The one exact implementation: Gaussian()
-/// and the SIMD noise kernel's fallback both call it.
-std::pair<double, double> BoxMuller(double u1, double u2);
 
 }  // namespace mivid
 

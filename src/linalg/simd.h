@@ -78,16 +78,6 @@ struct SimdOpsTable {
   /// out[j] = DetExp(-gamma * d2[j]) — the RBF kernel row.
   void (*rbf_from_d2_row)(double gamma, const double* d2, size_t count,
                           double* out);
-  /// The renderer's sensor noise for `pairs` Box-Muller pairs, (u1[j],
-  /// u2[j]) drawn by Rng::GaussianUniforms: px[2j] and px[2j + 1] become
-  /// NoisyPixel (linalg/noise_kernel.h) of themselves with the pair's
-  /// BoxMuller(u1[j], u2[j]) first and second normal. The scalar tier
-  /// calls BoxMuller; the AVX2 tier evaluates it with polynomials and
-  /// recomputes with the scalar tier every pair whose bytes the error
-  /// margin leaves undecided, so both tiers write identical bytes.
-  /// Returns the number of pairs recomputed (0 on the scalar tier).
-  size_t (*noisy_pairs_u8)(const double* u1, const double* u2, size_t pairs,
-                           double offset, double sigma, uint8_t* px);
   /// The selective-mean background model's fused pass over `count`
   /// pixels (linalg/background_kernel.h): mean[i] becomes
   /// WarmupMean(mean[i], px[i], n) when `warmup`, else
@@ -114,16 +104,6 @@ namespace simd_internal {
 extern const SimdOpsTable kScalarOps;
 #if defined(MIVID_HAVE_AVX2)
 extern const SimdOpsTable kAvx2Ops;
-
-// Test hooks of the AVX2 noise kernel. BoxMullerAvx2 writes the
-// polynomial {first, second} normals of `count` (u1, u2) pairs;
-// NoisyPairsU8Avx2 is noisy_pairs_u8 with the margin as an argument
-// (+infinity sends every pair through the exact fallback).
-void BoxMullerAvx2(const double* u1, const double* u2, size_t count,
-                   double* first, double* second);
-size_t NoisyPairsU8Avx2(const double* u1, const double* u2, size_t pairs,
-                        double offset, double sigma, double margin,
-                        uint8_t* px);
 #endif
 
 }  // namespace simd_internal

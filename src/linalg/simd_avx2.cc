@@ -24,7 +24,6 @@
 #include <cstring>
 
 #include "linalg/det_exp_constants.h"
-#include "linalg/noise_kernel.h"
 #include "linalg/simd.h"
 
 namespace mivid {
@@ -265,157 +264,6 @@ void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   for (; j < count; ++j) out[j] = DetExp(ng * d2[j]);
 }
 
-/// Polynomial Box-Muller of four (u1, u2) pairs; see noise_kernel.h for
-/// the method and its error budget.
-inline void BoxMuller4(__m256d u1, __m256d u2, __m256d* first,
-                       __m256d* second) {
-  using namespace noise_kernel;
-  const __m256d one = _mm256_set1_pd(1.0);
-  // log(u1) as in fdlibm's e_log.c: u1 = 2^k * x, x in [sqrt(2)/2,
-  // sqrt(2)). u1 >= 2^-53 is normal and positive.
-  const __m256i bits = _mm256_castpd_si256(u1);
-  const __m256i mant =
-      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffLL));
-  const __m256i hx = _mm256_srli_epi64(mant, 32);
-  const __m256i i = _mm256_and_si256(
-      _mm256_add_epi64(hx, _mm256_set1_epi64x(0x95f64)),
-      _mm256_set1_epi64x(0x100000));
-  const __m256d x = _mm256_castsi256_pd(_mm256_or_si256(
-      mant, _mm256_slli_epi64(
-                _mm256_xor_si256(i, _mm256_set1_epi64x(0x3ff00000)), 32)));
-  const __m256i k = _mm256_add_epi64(
-      _mm256_sub_epi64(_mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(1023)),
-      _mm256_srli_epi64(i, 20));
-  // int64 -> double for small k: add k to the bits of 1.5 * 2^52.
-  const __m256d magic = _mm256_set1_pd(0x1.8p52);
-  const __m256d dk = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_add_epi64(k, _mm256_castpd_si256(magic))),
-      magic);
-  const __m256d f = _mm256_sub_pd(x, one);
-  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
-  const __m256d z = _mm256_mul_pd(s, s);
-  const __m256d w = _mm256_mul_pd(z, z);
-  // R = t2 + t1, t1 = w (Lg2 + w (Lg4 + w Lg6)),
-  // t2 = z (Lg1 + w (Lg3 + w (Lg5 + w Lg7))).
-  __m256d t1 = _mm256_set1_pd(kLg6);
-  t1 = _mm256_add_pd(_mm256_set1_pd(kLg4), _mm256_mul_pd(w, t1));
-  t1 = _mm256_add_pd(_mm256_set1_pd(kLg2), _mm256_mul_pd(w, t1));
-  t1 = _mm256_mul_pd(w, t1);
-  __m256d t2 = _mm256_set1_pd(kLg7);
-  t2 = _mm256_add_pd(_mm256_set1_pd(kLg5), _mm256_mul_pd(w, t2));
-  t2 = _mm256_add_pd(_mm256_set1_pd(kLg3), _mm256_mul_pd(w, t2));
-  t2 = _mm256_add_pd(_mm256_set1_pd(kLg1), _mm256_mul_pd(w, t2));
-  t2 = _mm256_mul_pd(z, t2);
-  const __m256d r = _mm256_add_pd(t2, t1);
-  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
-  const __m256d log_u1 = _mm256_sub_pd(
-      _mm256_mul_pd(dk, _mm256_set1_pd(kLn2Hi)),
-      _mm256_sub_pd(
-          _mm256_sub_pd(hfsq, _mm256_add_pd(
-                                  _mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
-                                  _mm256_mul_pd(dk, _mm256_set1_pd(kLn2Lo)))),
-          f));
-  const __m256d mag =
-      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_u1));
-
-  // cos/sin(2 pi u2): n = round(4 u2) quarter turns (exact), then the
-  // fdlibm kernels on phi = (4 u2 - n) * pi/2 in [-pi/4, pi/4].
-  const __m256d t = _mm256_mul_pd(u2, _mm256_set1_pd(4.0));
-  const __m256d n =
-      _mm256_round_pd(t, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256d phi =
-      _mm256_mul_pd(_mm256_sub_pd(t, n), _mm256_set1_pd(kPiOver2));
-  const __m256d zz = _mm256_mul_pd(phi, phi);
-  __m256d ps = _mm256_set1_pd(kS6);
-  ps = _mm256_add_pd(_mm256_set1_pd(kS5), _mm256_mul_pd(zz, ps));
-  ps = _mm256_add_pd(_mm256_set1_pd(kS4), _mm256_mul_pd(zz, ps));
-  ps = _mm256_add_pd(_mm256_set1_pd(kS3), _mm256_mul_pd(zz, ps));
-  ps = _mm256_add_pd(_mm256_set1_pd(kS2), _mm256_mul_pd(zz, ps));
-  ps = _mm256_add_pd(_mm256_set1_pd(kS1), _mm256_mul_pd(zz, ps));
-  const __m256d sin_phi =
-      _mm256_add_pd(phi, _mm256_mul_pd(_mm256_mul_pd(zz, phi), ps));
-  __m256d pc = _mm256_set1_pd(kC6);
-  pc = _mm256_add_pd(_mm256_set1_pd(kC5), _mm256_mul_pd(zz, pc));
-  pc = _mm256_add_pd(_mm256_set1_pd(kC4), _mm256_mul_pd(zz, pc));
-  pc = _mm256_add_pd(_mm256_set1_pd(kC3), _mm256_mul_pd(zz, pc));
-  pc = _mm256_add_pd(_mm256_set1_pd(kC2), _mm256_mul_pd(zz, pc));
-  pc = _mm256_add_pd(_mm256_set1_pd(kC1), _mm256_mul_pd(zz, pc));
-  const __m256d cos_phi = _mm256_sub_pd(
-      one, _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), zz),
-                         _mm256_mul_pd(zz, _mm256_mul_pd(zz, pc))));
-  // Quarter turn n in 0..4: odd n swaps cos and sin; cos is negated for
-  // n = 1, 2 (bit 1 of n + 1), sin for n = 2, 3 (bit 1 of n).
-  const __m256i ni = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
-  const __m256d swap = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-      _mm256_and_si256(ni, _mm256_set1_epi64x(1)), _mm256_set1_epi64x(1)));
-  const __m256i two = _mm256_set1_epi64x(2);
-  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_and_si256(_mm256_add_epi64(ni, _mm256_set1_epi64x(1)), two), 62));
-  const __m256d sin_sign =
-      _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(ni, two), 62));
-  const __m256d c = _mm256_xor_pd(_mm256_blendv_pd(cos_phi, sin_phi, swap),
-                                  cos_sign);
-  const __m256d sn = _mm256_xor_pd(_mm256_blendv_pd(sin_phi, cos_phi, swap),
-                                   sin_sign);
-  *first = _mm256_mul_pd(mag, c);
-  *second = _mm256_mul_pd(mag, sn);
-}
-
-/// uint8(clamp(base + sigma * g)) for four lanes, as int32.
-inline __m128i NoisyBytes4(__m256d base, __m256d sigma, __m256d g) {
-  const __m256d v = _mm256_add_pd(base, _mm256_mul_pd(sigma, g));
-  return _mm256_cvttpd_epi32(_mm256_min_pd(
-      _mm256_max_pd(v, _mm256_setzero_pd()), _mm256_set1_pd(255.0)));
-}
-
-/// noisy_pairs_u8 on four pairs = eight pixels. Lanes past `valid` are
-/// padding: their bytes are written but never recomputed or counted.
-size_t NoisyOctet(const double* u1, const double* u2, int valid,
-                  double offset, double sigma, double margin, uint8_t* px) {
-  uint64_t raw = 0;
-  std::memcpy(&raw, px, sizeof(raw));
-  // Even pixels take the pairs' first normal, odd pixels the second.
-  const __m256i split = _mm256_permutevar8x32_epi32(
-      _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(static_cast<int64_t>(raw))),
-      _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
-  const __m256d voff = _mm256_set1_pd(offset);
-  const __m256d base_first =
-      _mm256_add_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(split)), voff);
-  const __m256d base_second = _mm256_add_pd(
-      _mm256_cvtepi32_pd(_mm256_extracti128_si256(split, 1)), voff);
-  __m256d g1, g2;
-  BoxMuller4(_mm256_loadu_pd(u1), _mm256_loadu_pd(u2), &g1, &g2);
-  const __m256d vs = _mm256_set1_pd(sigma);
-  const __m256d vm = _mm256_set1_pd(margin);
-  const __m128i lo1 = NoisyBytes4(base_first, vs, _mm256_sub_pd(g1, vm));
-  const __m128i hi1 = NoisyBytes4(base_first, vs, _mm256_add_pd(g1, vm));
-  const __m128i lo2 = NoisyBytes4(base_second, vs, _mm256_sub_pd(g2, vm));
-  const __m128i hi2 = NoisyBytes4(base_second, vs, _mm256_add_pd(g2, vm));
-  const __m128i decided =
-      _mm_and_si128(_mm_cmpeq_epi32(lo1, hi1), _mm_cmpeq_epi32(lo2, hi2));
-  const __m128i words = _mm_packus_epi32(_mm_unpacklo_epi32(lo1, lo2),
-                                         _mm_unpackhi_epi32(lo1, lo2));
-  const uint64_t out =
-      static_cast<uint64_t>(_mm_cvtsi128_si64(_mm_packus_epi16(words, words)));
-  std::memcpy(px, &out, sizeof(out));
-  int undecided =
-      ~_mm_movemask_ps(_mm_castsi128_ps(decided)) & ((1 << valid) - 1);
-  size_t recomputed = 0;
-  for (; undecided != 0; undecided &= undecided - 1, ++recomputed) {
-    const int b = __builtin_ctz(static_cast<unsigned>(undecided));
-    std::memcpy(px + 2 * b, reinterpret_cast<const uint8_t*>(&raw) + 2 * b, 2);
-    simd_internal::kScalarOps.noisy_pairs_u8(u1 + b, u2 + b, 1, offset, sigma,
-                                             px + 2 * b);
-  }
-  return recomputed;
-}
-
-size_t NoisyPairsU8(const double* u1, const double* u2, size_t pairs,
-                    double offset, double sigma, uint8_t* px) {
-  return simd_internal::NoisyPairsU8Avx2(u1, u2, pairs, offset, sigma,
-                                         noise_kernel::kMargin, px);
-}
-
 /// kMaskBytes[b] holds byte k = bit k of b: four mask bytes from a
 /// 4-lane compare's movemask (little-endian store).
 constexpr uint32_t kMaskBytes[16] = {
@@ -492,49 +340,8 @@ namespace simd_internal {
 
 const SimdOpsTable kAvx2Ops = {
     ExpandedD2Row, DirectD2Row, DotRow, Axpy, AxpyDiff, RbfFromD2Row,
-    NoisyPairsU8, BackgroundPass,
+    BackgroundPass,
 };
-
-void BoxMullerAvx2(const double* u1, const double* u2, size_t count,
-                   double* first, double* second) {
-  for (size_t j = 0; j < count; j += 4) {
-    // The tail group runs on padded copies: u1 = 1/2, u2 = 0.
-    double a[4] = {0.5, 0.5, 0.5, 0.5}, b[4] = {0.0, 0.0, 0.0, 0.0};
-    const size_t n = count - j < 4 ? count - j : 4;
-    std::memcpy(a, u1 + j, n * sizeof(double));
-    std::memcpy(b, u2 + j, n * sizeof(double));
-    __m256d g1, g2;
-    BoxMuller4(_mm256_loadu_pd(a), _mm256_loadu_pd(b), &g1, &g2);
-    double out1[4], out2[4];
-    _mm256_storeu_pd(out1, g1);
-    _mm256_storeu_pd(out2, g2);
-    std::memcpy(first + j, out1, n * sizeof(double));
-    std::memcpy(second + j, out2, n * sizeof(double));
-  }
-}
-
-size_t NoisyPairsU8Avx2(const double* u1, const double* u2, size_t pairs,
-                        double offset, double sigma, double margin,
-                        uint8_t* px) {
-  size_t recomputed = 0;
-  size_t j = 0;
-  for (; j + 4 <= pairs; j += 4) {
-    recomputed += NoisyOctet(u1 + j, u2 + j, 4, offset, sigma, margin,
-                             px + 2 * j);
-  }
-  if (j < pairs) {
-    const size_t n = pairs - j;
-    double a[4] = {0.5, 0.5, 0.5, 0.5}, b[4] = {0.0, 0.0, 0.0, 0.0};
-    uint8_t tail[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::memcpy(a, u1 + j, n * sizeof(double));
-    std::memcpy(b, u2 + j, n * sizeof(double));
-    std::memcpy(tail, px + 2 * j, 2 * n);
-    recomputed += NoisyOctet(a, b, static_cast<int>(n), offset, sigma,
-                             margin, tail);
-    std::memcpy(px + 2 * j, tail, 2 * n);
-  }
-  return recomputed;
-}
 
 }  // namespace simd_internal
 }  // namespace mivid

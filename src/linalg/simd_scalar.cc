@@ -10,10 +10,8 @@
 #include <cstdint>
 #include <cstring>
 
-#include "common/rng.h"
 #include "linalg/background_kernel.h"
 #include "linalg/det_exp_constants.h"
-#include "linalg/noise_kernel.h"
 #include "linalg/simd.h"
 
 namespace mivid {
@@ -82,17 +80,6 @@ void RbfFromD2Row(double gamma, const double* d2, size_t count, double* out) {
   for (size_t j = 0; j < count; ++j) out[j] = DetExpImpl(ng * d2[j]);
 }
 
-size_t NoisyPairsU8(const double* u1, const double* u2, size_t pairs,
-                    double offset, double sigma, uint8_t* px) {
-  for (size_t j = 0; j < pairs; ++j) {
-    const std::pair<double, double> g = BoxMuller(u1[j], u2[j]);
-    px[2 * j] = noise_kernel::NoisyPixel(px[2 * j], offset, sigma, g.first);
-    px[2 * j + 1] =
-        noise_kernel::NoisyPixel(px[2 * j + 1], offset, sigma, g.second);
-  }
-  return 0;
-}
-
 uint64_t BackgroundPass(const uint8_t* px, size_t count, bool warmup,
                         double n, double rate, double threshold, double* mean,
                         uint8_t* mask) {
@@ -115,7 +102,7 @@ namespace simd_internal {
 
 const SimdOpsTable kScalarOps = {
     ExpandedD2Row, DirectD2Row, DotRow, Axpy, AxpyDiff, RbfFromD2Row,
-    NoisyPairsU8, BackgroundPass,
+    BackgroundPass,
 };
 
 }  // namespace simd_internal

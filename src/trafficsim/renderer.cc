@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/noise_kernel.h"
-#include "linalg/simd.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "video/draw.h"
 
@@ -13,40 +10,56 @@ namespace mivid {
 
 namespace {
 
-/// Box-Muller pairs drawn per block: 16 KB of uniforms.
-constexpr size_t kNoiseBlockPairs = 1024;
-
-/// px[i] = NoisyPixel(px[i], offset, sigma, rng->Gaussian()) for every
-/// pixel in order. Fresh pairs are drawn a block at a time and transformed
-/// by the active SIMD tier; a cached second value opens the frame and an
-/// odd last pixel leaves one cached, exactly as per-pixel Gaussian() calls
-/// would. Returns the pairs the tier recomputed exactly.
-size_t AddSensorNoise(double offset, double sigma, Rng* rng, uint8_t* px,
-                      size_t count) {
-  using noise_kernel::NoisyPixel;
-  size_t i = 0;
-  if (count > 0 && rng->HasCachedGaussian()) {
-    px[0] = NoisyPixel(px[0], offset, sigma, rng->Gaussian());
-    i = 1;
+/// Adds sensor noise in place: px[i] becomes uint8(clamp(px[i] + offset +
+/// sigma * g, 0, 255)) with g standard normal, drawn fresh per pixel.
+///
+/// The byte is sampled directly rather than through g. For an integer
+/// pixel p that byte is clamp(p + K, 0, 255) with K = floor(offset +
+/// sigma * g), whose law P(K <= k) = Phi((k + 1 - offset) / sigma) is fixed
+/// for the frame. So each frame builds an inverse-CDF table over k in
+/// [floor(offset - 9 sigma), floor(offset + 9 sigma)], cut to [-255, 255]
+/// where every K beyond gives the same byte; the end classes absorb the
+/// tails. A pixel then costs one 32-bit uniform (half of an Rng::Next()),
+/// a guide-table lookup and a short forward search. No transcendental runs
+/// per pixel.
+void AddSensorNoise(double offset, double sigma, Rng* rng, uint8_t* px,
+                    size_t count) {
+  const int kmin = static_cast<int>(
+      std::clamp(std::floor(offset - 9.0 * sigma), -255.0, 255.0));
+  const int kmax = static_cast<int>(
+      std::clamp(std::floor(offset + 9.0 * sigma), -255.0, 255.0));
+  // threshold[c] = round(2^32 * P(K <= kmin + c)); K = kmin + c for the
+  // first c with u < threshold[c]. The last class takes all of the rest.
+  uint64_t threshold[2 * 255 + 1];
+  const int last = kmax - kmin;
+  for (int c = 0; c < last; ++c) {
+    const double z = (kmin + c + 1 - offset) / sigma;
+    threshold[c] = static_cast<uint64_t>(
+        std::llround(0x1p32 * 0.5 * std::erfc(-z * M_SQRT1_2)));
   }
-  const SimdOpsTable& ops = SimdOps();
-  double u1[kNoiseBlockPairs];
-  double u2[kNoiseBlockPairs];
-  size_t recomputed = 0;
-  while (count - i >= 2) {
-    const size_t pairs = std::min((count - i) / 2, kNoiseBlockPairs);
-    for (size_t j = 0; j < pairs; ++j) rng->GaussianUniforms(&u1[j], &u2[j]);
-    recomputed += ops.noisy_pairs_u8(u1, u2, pairs, offset, sigma, px + i);
-    i += 2 * pairs;
+  threshold[last] = uint64_t{1} << 32;
+  // guide[b]: the first class a uniform with top byte b can land in.
+  int guide[256];
+  for (int b = 0, c = 0; b < 256; ++b) {
+    while (threshold[c] <= static_cast<uint64_t>(b) << 24) ++c;
+    guide[b] = c;
   }
-  if (i < count) px[i] = NoisyPixel(px[i], offset, sigma, rng->Gaussian());
-  return recomputed;
+  const auto noisy = [&](uint8_t p, uint32_t u) {
+    int c = guide[u >> 24];
+    while (threshold[c] <= u) ++c;
+    return static_cast<uint8_t>(std::clamp(p + kmin + c, 0, 255));
+  };
+  for (size_t i = 0; i < count; i += 2) {
+    const uint64_t r = rng->Next();
+    px[i] = noisy(px[i], static_cast<uint32_t>(r >> 32));
+    if (i + 1 < count) px[i + 1] = noisy(px[i + 1], static_cast<uint32_t>(r));
+  }
 }
 
 }  // namespace
 
 Renderer::Renderer(const RoadLayout& layout, RenderOptions options)
-    : layout_(layout), options_(options), noise_rng_(options.noise_seed) {
+    : layout_(layout), options_(options), noise_rng_(kNoiseSeed) {
   background_ = Frame(layout.width, layout.height, layout.background_shade);
   for (const auto& surface : layout.road_surface) {
     FillRect(&background_, surface, layout.road_shade);
@@ -75,11 +88,9 @@ Frame Renderer::Render(const std::vector<VehicleState>& vehicles) {
   }
   ++frame_index_;
 
-  if (options_.draw_noise && options_.noise_stddev > 0) {
-    const size_t recomputed =
-        AddSensorNoise(illumination, options_.noise_stddev, &noise_rng_,
-                       frame.pixels().data(), frame.size());
-    MIVID_METRIC_COUNT("trafficsim/noise_exact_pairs", recomputed);
+  if (options_.noise_stddev > 0) {
+    AddSensorNoise(illumination, options_.noise_stddev, &noise_rng_,
+                   frame.pixels().data(), frame.size());
   } else if (illumination != 0.0) {
     for (auto& p : frame.pixels()) {
       p = static_cast<uint8_t>(

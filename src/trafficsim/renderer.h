@@ -18,9 +18,7 @@ namespace mivid {
 
 /// Rendering knobs.
 struct RenderOptions {
-  double noise_stddev = 6.0;  ///< additive Gaussian pixel noise
-  uint64_t noise_seed = 7;
-  bool draw_noise = true;
+  double noise_stddev = 6.0;  ///< additive Gaussian pixel noise; 0 = off
   /// Slow sinusoidal global illumination drift (clouds, tunnel lighting):
   /// every pixel is offset by amplitude * sin(2 pi frame / period).
   double illumination_amplitude = 0.0;  ///< intensity units; 0 = off
@@ -30,6 +28,9 @@ struct RenderOptions {
 /// Stateless-per-frame renderer for a fixed layout.
 class Renderer {
  public:
+  /// Seed of the sensor-noise stream: equal inputs render equal frames.
+  static constexpr uint64_t kNoiseSeed = 7;
+
   Renderer(const RoadLayout& layout, RenderOptions options = {});
 
   /// The static scene with no vehicles and no noise (ideal background).

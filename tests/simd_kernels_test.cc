@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <set>
 #include <vector>
 
@@ -17,7 +16,6 @@
 
 #include "common/rng.h"
 #include "db/packed_corpus_io.h"
-#include "linalg/noise_kernel.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/simd.h"
 #include "mil/dataset.h"
@@ -208,33 +206,6 @@ TEST(SimdKernelsTest, EnvOverrideSelectsTier) {
             Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar);
 }
 
-TEST(SimdKernelsTest, NoisyPairsBitIdenticalAcrossTiers) {
-  // Pixels across the whole byte range (so both clamps fire), fractional
-  // offsets of both signs, and a pair count that leaves a partial group.
-  const size_t pairs = 4099;
-  std::vector<double> u1(pairs), u2(pairs);
-  Rng rng(91);
-  for (size_t j = 0; j < pairs; ++j) rng.GaussianUniforms(&u1[j], &u2[j]);
-  std::vector<uint8_t> pixels(2 * pairs);
-  for (auto& p : pixels) p = static_cast<uint8_t>(rng.UniformInt(0, 255));
-  TierGuard guard;
-  for (double offset : {0.0, 7.25, -11.5}) {
-    for (double sigma : {6.0, 40.0}) {
-      SetSimdTier(static_cast<int>(SimdTier::kScalar));
-      std::vector<uint8_t> reference = pixels;
-      EXPECT_EQ(SimdOps().noisy_pairs_u8(u1.data(), u2.data(), pairs, offset,
-                                         sigma, reference.data()),
-                0u);
-      if (!Avx2Available()) continue;
-      SetSimdTier(static_cast<int>(SimdTier::kAvx2));
-      std::vector<uint8_t> fast = pixels;
-      SimdOps().noisy_pairs_u8(u1.data(), u2.data(), pairs, offset, sigma,
-                               fast.data());
-      EXPECT_EQ(fast, reference) << "offset " << offset << " sigma " << sigma;
-    }
-  }
-}
-
 TEST(SimdKernelsTest, BackgroundPassBitIdenticalAcrossTiers) {
   // Means straddling the selective-update threshold and outside [0, 255]
   // (both clamps), both update modes, and lengths with every tail size.
@@ -267,72 +238,6 @@ TEST(SimdKernelsTest, BackgroundPassBitIdenticalAcrossTiers) {
     }
   }
 }
-
-#if defined(MIVID_HAVE_AVX2)
-TEST(SimdKernelsTest, BoxMullerErrorFarBelowMargin) {
-  if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this CPU";
-  std::vector<double> u1, u2;
-  // Random draws, exactly as the renderer draws them.
-  Rng rng(2024);
-  for (int j = 0; j < 1000000; ++j) {
-    double a = 0.0, b = 0.0;
-    rng.GaussianUniforms(&a, &b);
-    u1.push_back(a);
-    u2.push_back(b);
-  }
-  // Edge draws: the smallest u1 (Next() >> 11 == 1) and its neighbours,
-  // u1 around the log kernel's sqrt(2)/2 split and just below 1; u2 at
-  // and beside every k/8 octant boundary and just below 1.
-  const double ulp = 0x1.0p-53;
-  const std::vector<double> edge_u1 = {
-      ulp,       2 * ulp,   3 * ulp,   0.25,      0.5 - ulp, 0.5,
-      0.7071067811865475,   0.7071067811865476,   0.9,       1 - 2 * ulp,
-      1 - ulp};
-  std::vector<double> edge_u2 = {0.0, ulp, 1 - ulp, 1 - 2 * ulp};
-  for (int k = 1; k < 8; ++k) {
-    edge_u2.push_back(k / 8.0);
-    edge_u2.push_back(k / 8.0 - ulp);
-    edge_u2.push_back(k / 8.0 + ulp);
-  }
-  for (double a : edge_u1) {
-    for (double b : edge_u2) {
-      u1.push_back(a);
-      u2.push_back(b);
-    }
-  }
-  std::vector<double> fast1(u1.size()), fast2(u1.size());
-  simd_internal::BoxMullerAvx2(u1.data(), u2.data(), u1.size(), fast1.data(),
-                               fast2.data());
-  double max_err = 0.0;
-  for (size_t j = 0; j < u1.size(); ++j) {
-    const std::pair<double, double> exact = BoxMuller(u1[j], u2[j]);
-    max_err = std::max({max_err, std::fabs(fast1[j] - exact.first),
-                        std::fabs(fast2[j] - exact.second)});
-  }
-  RecordProperty("max_error", (::testing::Message() << max_err).GetString());
-  EXPECT_GT(max_err, 0.0);  // the comparison really ran on two methods
-  EXPECT_LE(max_err * 100.0, noise_kernel::kMargin) << "max error " << max_err;
-}
-
-TEST(SimdKernelsTest, NoiseForcedExactEqualsCheckedPath) {
-  if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this CPU";
-  const size_t pairs = 1027;
-  std::vector<double> u1(pairs), u2(pairs);
-  Rng rng(17);
-  for (size_t j = 0; j < pairs; ++j) rng.GaussianUniforms(&u1[j], &u2[j]);
-  std::vector<uint8_t> pixels(2 * pairs);
-  for (auto& p : pixels) p = static_cast<uint8_t>(rng.UniformInt(0, 255));
-  std::vector<uint8_t> checked = pixels;
-  simd_internal::NoisyPairsU8Avx2(u1.data(), u2.data(), pairs, 3.5, 6.0,
-                                  noise_kernel::kMargin, checked.data());
-  std::vector<uint8_t> exact = pixels;
-  const size_t recomputed = simd_internal::NoisyPairsU8Avx2(
-      u1.data(), u2.data(), pairs, 3.5, 6.0,
-      std::numeric_limits<double>::infinity(), exact.data());
-  EXPECT_EQ(recomputed, pairs);  // every pair took the exact fallback
-  EXPECT_EQ(exact, checked);
-}
-#endif  // MIVID_HAVE_AVX2
 
 TEST(PackedMatrixTest, LayoutNormsAndRoundTrip) {
   const size_t n = 11, dim = 4;

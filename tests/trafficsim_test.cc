@@ -2,8 +2,12 @@
 // scenario scripts, renderer.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -352,7 +356,7 @@ TEST(ScenarioTest, IncidentsSortedByTrigger) {
 
 TEST(RendererTest, BackgroundContainsRoadAndWalls) {
   const RoadLayout layout = MakeTunnelLayout();
-  Renderer renderer(layout, RenderOptions{0.0, 7, false});
+  Renderer renderer(layout, RenderOptions{0.0});
   const Frame& bg = renderer.background();
   EXPECT_EQ(bg.width(), layout.width);
   // Road band is road_shade; wall band brighter.
@@ -362,7 +366,7 @@ TEST(RendererTest, BackgroundContainsRoadAndWalls) {
 
 TEST(RendererTest, VehiclesAppearAtTheirPosition) {
   const RoadLayout layout = MakeTunnelLayout();
-  Renderer renderer(layout, RenderOptions{0.0, 7, false});
+  Renderer renderer(layout, RenderOptions{0.0});
   VehicleState v;
   v.id = 0;
   v.type = VehicleType::kCar;
@@ -377,11 +381,131 @@ TEST(RendererTest, VehiclesAppearAtTheirPosition) {
 
 TEST(RendererTest, NoiseIsDeterministicPerRenderer) {
   const RoadLayout layout = MakeTunnelLayout();
-  Renderer r1(layout, RenderOptions{4.0, 11, true});
-  Renderer r2(layout, RenderOptions{4.0, 11, true});
+  Renderer r1(layout, RenderOptions{4.0});
+  Renderer r2(layout, RenderOptions{4.0});
   const Frame f1 = r1.Render({});
   const Frame f2 = r2.Render({});
   EXPECT_EQ(f1.pixels(), f2.pixels());
+}
+
+/// The renderer's illumination offset for frame `f`.
+double Illumination(const RenderOptions& ro, int f) {
+  if (ro.illumination_amplitude <= 0 || ro.illumination_period <= 0) return 0;
+  return ro.illumination_amplitude *
+         std::sin(2.0 * M_PI * f / ro.illumination_period);
+}
+
+/// P(floor(offset + sigma * g) <= k) for standard normal g.
+double FloorCdf(int k, double offset, double sigma) {
+  return 0.5 * std::erfc(-((k + 1 - offset) / sigma) * M_SQRT1_2);
+}
+
+/// Sensor noise written plainly: every pixel takes one 32-bit half of a
+/// Next() (high half first) and the first class k in [kmin, kmax] whose
+/// rounded 2^32 * FloorCdf exceeds it, found by linear search.
+void ReferenceNoise(double offset, double sigma, Rng* rng,
+                    std::vector<uint8_t>* px) {
+  const int kmin = static_cast<int>(
+      std::clamp(std::floor(offset - 9.0 * sigma), -255.0, 255.0));
+  const int kmax = static_cast<int>(
+      std::clamp(std::floor(offset + 9.0 * sigma), -255.0, 255.0));
+  std::vector<uint64_t> threshold;
+  for (int k = kmin; k < kmax; ++k) {
+    threshold.push_back(static_cast<uint64_t>(
+        std::llround(0x1p32 * FloorCdf(k, offset, sigma))));
+  }
+  uint64_t r = 0;
+  for (size_t i = 0; i < px->size(); ++i) {
+    if (i % 2 == 0) r = rng->Next();
+    const uint32_t u = static_cast<uint32_t>(i % 2 == 0 ? r >> 32 : r);
+    size_t c = 0;
+    while (c < threshold.size() && threshold[c] <= u) ++c;
+    const int v = (*px)[i] + kmin + static_cast<int>(c);
+    (*px)[i] = static_cast<uint8_t>(std::clamp(v, 0, 255));
+  }
+}
+
+TEST(RendererTest, NoiseMatchesReferenceSampler) {
+  struct Case {
+    RoadLayout layout;
+    RenderOptions options;
+  };
+  RoadLayout odd = MakeIntersectionLayout();
+  odd.width = 321;  // 321 x 239: every frame ends on half a Next()
+  odd.height = 239;
+  RenderOptions drift;
+  drift.illumination_amplitude = 12.0;
+  drift.illumination_period = 7;
+  RenderOptions wide;  // 9 sigma spans past +-255; both clamps fire
+  wide.noise_stddev = 40.0;
+  wide.illumination_amplitude = 60.0;
+  wide.illumination_period = 5;
+  RenderOptions saturate;  // offsets +-400: the table is one class
+  saturate.illumination_amplitude = 400.0;
+  saturate.illumination_period = 4;
+  const std::vector<Case> cases = {{MakeTunnelLayout(), RenderOptions{}},
+                                   {MakeTunnelLayout(), drift},
+                                   {MakeIntersectionLayout(), wide},
+                                   {MakeTunnelLayout(), saturate},
+                                   {odd, RenderOptions{}},
+                                   {odd, drift}};
+  for (size_t n = 0; n < cases.size(); ++n) {
+    const Case& c = cases[n];
+    Renderer renderer(c.layout, c.options);
+    Rng rng(Renderer::kNoiseSeed);
+    for (int f = 0; f < 4; ++f) {
+      std::vector<uint8_t> want = renderer.background().pixels();
+      ReferenceNoise(Illumination(c.options, f), c.options.noise_stddev, &rng,
+                     &want);
+      EXPECT_EQ(renderer.Render({}).pixels(), want)
+          << "case " << n << " frame " << f;
+    }
+  }
+}
+
+TEST(RendererTest, NoiseFollowsDiscretizedGaussianLaw) {
+  // A flat grey scene far from both clamps: byte - 128 is K = floor(offset
+  // + sigma * g) for every pixel. Each class count must sit within 5
+  // binomial standard errors of its expectation; classes expected fewer
+  // than 10 times are pooled into one tail bin per side.
+  RoadLayout flat;
+  flat.background_shade = 128;
+  for (double sigma : {6.0, 12.0}) {
+    for (double amplitude : {0.0, 2.5}) {
+      RenderOptions ro;
+      ro.noise_stddev = sigma;
+      ro.illumination_amplitude = amplitude;
+      ro.illumination_period = 4;  // frames 1, 5: offset = +amplitude
+      Renderer renderer(flat, ro);
+      std::map<int, double> count, mean, var;
+      for (int f = 0; f < 6; ++f) {
+        const Frame frame = renderer.Render({});
+        if (amplitude > 0 && f % 4 != 1) continue;
+        const double o = Illumination(ro, f);
+        for (uint8_t b : frame.pixels()) count[b - 128] += 1;
+        const double n = static_cast<double>(frame.size());
+        for (int k = -128; k <= 127; ++k) {
+          const double p = FloorCdf(k, o, sigma) - FloorCdf(k - 1, o, sigma);
+          mean[k] += n * p;
+          var[k] += n * p * (1 - p);
+        }
+      }
+      // Pool the thin classes into tail bins keyed -1000 / +1000.
+      std::map<int, std::array<double, 3>> bins;  // observed, mean, var
+      for (int k = -128; k <= 127; ++k) {
+        const int key = mean[k] >= 10 ? k : (k < 0 ? -1000 : 1000);
+        bins[key][0] += count[k];
+        bins[key][1] += mean[k];
+        bins[key][2] += var[k];
+      }
+      for (const auto& [k, b] : bins) {
+        EXPECT_LE(std::fabs(b[0] - b[1]), 5.0 * std::sqrt(b[2]) + 1e-9)
+            << "sigma " << sigma << " amplitude " << amplitude << " class "
+            << k << " observed " << b[0] << " expected " << b[1];
+      }
+      EXPECT_GT(bins.size(), static_cast<size_t>(4 * sigma));
+    }
+  }
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 // background mean and every refined blob list, over fixed tunnel and
 // intersection runs.
 //
-// The pinned values were produced by the plain implementations: libm
-// Box–Muller per pixel (still the scalar tier's noise), separate
-// Update / Subtract / BackgroundFrame().MeanIntensity() passes, and a
-// bounds-checked 9-neighbour CleanMask. The fast front end must
-// reproduce them byte for byte on every SIMD tier; EXPERIMENTS.md rests
-// on these bytes.
+// The pins come from the inverse-CDF sensor noise (trafficsim/renderer.cc:
+// one 32-bit uniform per pixel picks floor(offset + sigma * g) from a
+// per-frame table) and the one-pass background model, separable
+// CleanMask and SPCPE refine. The renderer has a single code path, so
+// the pins are the same on every SIMD tier; the segmentation stages
+// dispatch per tier and must reproduce them byte for byte.
+// EXPERIMENTS.md rests on these bytes.
 
 #include <cstdint>
 #include <cstdlib>
@@ -120,14 +121,14 @@ class VisionGoldenTest : public ::testing::TestWithParam<SimdTier> {
 
 TEST_P(VisionGoldenTest, Tunnel300Frames) {
   ExpectHashes(RunFrontEnd(MakeTunnelScenario(), RenderOptions{}, 300),
-               {0xd554823286ccd9e6ULL, 0x6d651ad4ce5fb0dbULL,
-                0xf856971615aa0522ULL, 0xb105aa509eb94c71ULL});
+               {0x7d6437d0f301fbf0ULL, 0x4922c417694e91baULL,
+                0x9e57f927e7b45d1fULL, 0xeb8efc4a5e289784ULL});
 }
 
 TEST_P(VisionGoldenTest, Intersection300Frames) {
   ExpectHashes(RunFrontEnd(MakeIntersectionScenario(), RenderOptions{}, 300),
-               {0xa6587a7782b549b9ULL, 0xc13f4cad91bb0101ULL,
-                0xa615dc1e765dcbb7ULL, 0x317f111fdd147303ULL});
+               {0x531ef33b74674801ULL, 0x818c328c9fecb11eULL,
+                0x30f426a4c3012088ULL, 0x6d5bd4b20a9da11aULL});
 }
 
 TEST_P(VisionGoldenTest, TunnelWithIlluminationDrift) {
@@ -135,19 +136,19 @@ TEST_P(VisionGoldenTest, TunnelWithIlluminationDrift) {
   ro.illumination_amplitude = 12.0;
   ro.illumination_period = 90;
   ExpectHashes(RunFrontEnd(MakeTunnelScenario(), ro, 120),
-               {0xa3f6a1f74fd17755ULL, 0x54ebbed7d0b55c93ULL,
-                0x37f20dddac3ec267ULL, 0x8db2047e636127dfULL});
+               {0x72e83ac38865ca8dULL, 0x781947480f59e369ULL,
+                0xf0a22b72f626f930ULL, 0xd464e78d574caf1dULL});
 }
 
 TEST_P(VisionGoldenTest, OddPixelCountCarriesGaussianAcrossFrames) {
-  // 321 x 239 pixels: every frame ends on half a Box–Muller pair, so the
-  // cached second value opens the next frame.
+  // 321 x 239 pixels: every frame ends on half of an Rng::Next() draw,
+  // and the next frame must start on a fresh one.
   ScenarioSpec spec = MakeIntersectionScenario();
   spec.layout.width = 321;
   spec.layout.height = 239;
   ExpectHashes(RunFrontEnd(spec, RenderOptions{}, 60),
-               {0x8e79113ef92023cbULL, 0x340c5893e5744149ULL,
-                0xcfd997c5ed7f42c7ULL, 0x86f56a76e9434a6cULL});
+               {0xbf3783a16046486dULL, 0xfc3b79a8abd655e1ULL,
+                0xcc53629a500738b4ULL, 0xe770d9c4b5e44904ULL});
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, VisionGoldenTest,
