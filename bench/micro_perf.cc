@@ -1,28 +1,26 @@
 // Micro benchmarks (google-benchmark) for the compute-heavy components:
 // one-class SMO training, kernel/Gram evaluation, segmentation throughput,
-// tracking association, polynomial fitting, codec, and the end-to-end
-// retrieval pipeline on a short clip.
+// tracking association, polynomial fitting, codec, and the serve and
+// ingest paths.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 
 #include "common/rng.h"
-#include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "db/feature_store.h"
-#include "eval/experiment.h"
 #include "ingest/camera_ingestor.h"
 #include "linalg/simd.h"
 #include "db/video_db.h"
 #include "serve/corpus_manager.h"
 #include "obs/metrics.h"
-#include "retrieval/mil_rf_engine.h"
 #include "segment/segmenter.h"
 #include "serve/server.h"
 #include "svm/one_class_svm.h"
 #include "track/assignment.h"
 #include "trafficsim/renderer.h"
+#include "trafficsim/scenarios.h"
+#include "trafficsim/world.h"
 #include "trajectory/polyfit.h"
 
 namespace mivid {
@@ -104,119 +102,6 @@ void BM_RbfKernelRow(benchmark::State& state) {
   state.SetLabel(SimdTierName(ActiveSimdTier()));
 }
 BENCHMARK(BM_RbfKernelRow)->Arg(256)->Arg(4096);
-
-// --- Threaded variants: range(0) = problem size, range(1) = threads. ---
-// Thread count 1 exercises the serial fallback; larger counts exercise
-// the pool. Restores the default (MIVID_THREADS / hardware) afterwards.
-
-void BM_GramMatrixThreads(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  SetGlobalThreadCount(static_cast<int>(state.range(1)));
-  const auto points = RandomPoints(n, 9, 19);
-  KernelParams params;
-  for (auto _ : state) {
-    GramMatrix gram(params, points);
-    benchmark::DoNotOptimize(gram.At(0, 0));
-  }
-  SetGlobalThreadCount(0);
-}
-BENCHMARK(BM_GramMatrixThreads)
-    ->ArgNames({"n", "threads"})
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({1024, 4})
-    ->Args({1024, 8});
-
-void BM_RankBagsThreads(benchmark::State& state) {
-  const size_t num_bags = static_cast<size_t>(state.range(0));
-  SetGlobalThreadCount(static_cast<int>(state.range(1)));
-  // Corpus: num_bags bags x 8 instances of dim-9 vectors.
-  Rng rng(41);
-  MilDataset dataset;
-  for (size_t b = 0; b < num_bags; ++b) {
-    MilBag bag;
-    bag.id = static_cast<int>(b);
-    for (int t = 0; t < 8; ++t) {
-      MilInstance inst;
-      inst.bag_id = bag.id;
-      inst.instance_id = t;
-      inst.features = Vec(9);
-      for (auto& v : inst.features) v = rng.Uniform();
-      inst.raw_features = inst.features;
-      bag.instances.push_back(std::move(inst));
-    }
-    dataset.AddBag(std::move(bag));
-  }
-  MilRfOptions options;
-  options.base_dim = 3;
-  MilRfEngine engine(&dataset, options);
-  for (size_t b = 0; b < 8; ++b) {
-    (void)dataset.SetLabel(static_cast<int>(b), BagLabel::kRelevant);
-  }
-  if (!engine.Learn().ok()) {
-    state.SkipWithError("Learn failed");
-    SetGlobalThreadCount(0);
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Rank());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(num_bags * 8));
-  SetGlobalThreadCount(0);
-}
-BENCHMARK(BM_RankBagsThreads)
-    ->ArgNames({"bags", "threads"})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4})
-    ->Args({512, 8});
-
-void BM_SegmentClipThreads(benchmark::State& state) {
-  const int frames = static_cast<int>(state.range(0));
-  SetGlobalThreadCount(static_cast<int>(state.range(1)));
-  // Pre-render a clip with a couple of moving vehicles so SPCPE has work.
-  const RoadLayout layout = MakeTunnelLayout();
-  Renderer renderer(layout);
-  std::vector<Frame> clip;
-  clip.reserve(static_cast<size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    VehicleState a, b;
-    a.id = 0;
-    a.mode = MotionMode::kLaneFollow;
-    a.position = {40.0 + f * 0.8, 108};
-    a.shade = 220;
-    b.id = 1;
-    b.mode = MotionMode::kLaneFollow;
-    b.position = {280.0 - f * 0.6, 130};
-    b.shade = 60;
-    clip.push_back(renderer.Render({a, b}));
-  }
-  for (auto _ : state) {
-    // The VisionTracks pattern: sequential background ingest, parallel
-    // per-frame SPCPE/cleanup/blob refinement.
-    VehicleSegmenter segmenter;
-    std::vector<PendingSegmentation> pending;
-    pending.reserve(clip.size());
-    for (const Frame& frame : clip) pending.push_back(segmenter.Ingest(frame));
-    std::vector<std::vector<Blob>> blobs(pending.size());
-    ParallelFor(pending.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        blobs[i] = VehicleSegmenter::Refine(pending[i], segmenter.options());
-      }
-    });
-    benchmark::DoNotOptimize(blobs);
-  }
-  state.SetItemsProcessed(state.iterations() * frames);
-  SetGlobalThreadCount(0);
-}
-BENCHMARK(BM_SegmentClipThreads)
-    ->ArgNames({"frames", "threads"})
-    ->Args({120, 1})
-    ->Args({120, 2})
-    ->Args({120, 4})
-    ->Args({120, 8})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_SegmentFrame(benchmark::State& state) {
   const RoadLayout layout = MakeTunnelLayout();
@@ -500,72 +385,6 @@ void BM_EpochPublish(benchmark::State& state) {
   fs::remove_all(dir);
 }
 BENCHMARK(BM_EpochPublish)->Unit(benchmark::kMillisecond)->Iterations(24);
-
-void BM_EndToEndPipeline(benchmark::State& state) {
-  TunnelScenarioOptions scenario_options;
-  scenario_options.total_frames = 400;
-  scenario_options.num_wall_crashes = 1;
-  scenario_options.num_sudden_stops = 1;
-  scenario_options.num_speeding = 0;
-  scenario_options.num_uturns = 0;
-  const ScenarioSpec scenario = MakeTunnelScenario(scenario_options);
-  ExperimentOptions options;
-  options.pipeline = PipelineMode::kVisionTracks;
-  options.feedback_rounds = 2;
-  for (auto _ : state) {
-    auto result = RunRfExperiment(scenario, options);
-    benchmark::DoNotOptimize(result);
-    // Quality counters: per-round accuracy@20 of the MIL method plus SMO
-    // effort, so BENCH_micro.json tracks retrieval quality alongside time.
-    if (result.ok()) {
-      for (const auto& curve : result->curves) {
-        if (curve.method != "MIL_OneClassSVM") continue;
-        for (size_t r = 0; r < curve.accuracy.size(); ++r) {
-          state.counters[StrFormat("acc20_round%zu", r)] = curve.accuracy[r];
-        }
-      }
-      int64_t smo_iterations = 0;
-      int64_t support_vectors = 0;
-      for (const auto& round : result->mil_summary.rounds) {
-        smo_iterations += round.smo_iterations;
-        support_vectors += static_cast<int64_t>(round.support_vectors);
-      }
-      state.counters["smo_iterations"] =
-          static_cast<double>(smo_iterations);
-      state.counters["support_vectors"] =
-          static_cast<double>(support_vectors);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * scenario.total_frames);
-}
-BENCHMARK(BM_EndToEndPipeline)->Unit(benchmark::kMillisecond);
-
-void BM_EndToEndPipelineThreads(benchmark::State& state) {
-  SetGlobalThreadCount(static_cast<int>(state.range(0)));
-  TunnelScenarioOptions scenario_options;
-  scenario_options.total_frames = 400;
-  scenario_options.num_wall_crashes = 1;
-  scenario_options.num_sudden_stops = 1;
-  scenario_options.num_speeding = 0;
-  scenario_options.num_uturns = 0;
-  const ScenarioSpec scenario = MakeTunnelScenario(scenario_options);
-  ExperimentOptions options;
-  options.pipeline = PipelineMode::kVisionTracks;
-  options.feedback_rounds = 2;
-  for (auto _ : state) {
-    auto result = RunRfExperiment(scenario, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * scenario.total_frames);
-  SetGlobalThreadCount(0);
-}
-BENCHMARK(BM_EndToEndPipelineThreads)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mivid

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Runs the micro benchmarks and writes BENCH_micro.json so the perf
-# trajectory is tracked across PRs. BM_EndToEndPipeline also reports
-# quality counters (per-round MIL accuracy@20 as acc20_round<r>, summed
-# SMO iterations and support-vector counts), so the JSON tracks retrieval
-# quality next to wall time.
+# trajectory of the individual kernels (SMO, Gram, segmentation, serve
+# rank, ingest, publish) is tracked across PRs. End-to-end time and
+# retrieval quality are measured by e2ebench/run.py, not here.
 #
 # The script builds micro_perf with CMAKE_BUILD_TYPE=Release when it is
 # missing, and refuses to record numbers unless the binary stamps itself

@@ -1,13 +1,12 @@
 // Exact scatter-gather top-k merging for the cluster coordinator.
 //
 // Each worker answers a rank request with its *exact* per-corpus top-k
-// (RetrievalSession::CurrentTopK — the suffix-coefficient-mass bound in
-// MilRfEngine::RankTopK prunes bags that provably miss the cut, never
-// bags that could make it). Merging those exact partial lists and
-// truncating to k therefore yields exactly the global top-k: no bag
-// outside a worker's top-k can outrank one inside it. The merge
-// comparator extends the engines' (score desc, bag asc) order with the
-// camera id, so a merged ranking is a deterministic function of the
+// (RetrievalSession::CurrentTopK: the first k entries of that corpus's
+// full ranking). Every bag a worker leaves out ranks below the k it sends,
+// so it cannot reach the global top-k either; merging the partial lists
+// and truncating to k therefore yields exactly the global top-k. The
+// merge comparator extends the engines' (score desc, bag asc) order with
+// the camera id, so a merged ranking is a deterministic function of the
 // per-corpus rankings — bit-identical however the corpora are sharded,
 // and identical to merging single-process per-camera rankings.
 

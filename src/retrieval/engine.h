@@ -75,16 +75,6 @@ class RetrievalEngine {
   /// Full ranking of every bag, best first (requires trained()).
   virtual std::vector<ScoredBag> Rank() const = 0;
 
-  /// The first `k` entries of Rank(): same bags, same scores, same order
-  /// (ties and all), but engines may use early termination to avoid
-  /// computing full decision values for bags that provably cannot reach
-  /// the top k. The default simply truncates a full Rank().
-  virtual std::vector<ScoredBag> RankTopK(size_t k) const {
-    std::vector<ScoredBag> ranking = Rank();
-    if (k < ranking.size()) ranking.resize(k);
-    return ranking;
-  }
-
   /// Per-round training stats plus ranking totals; engines without
   /// instrumentation return an empty summary.
   virtual const RunSummary& run_summary() const;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
-#include "common/thread_pool.h"
-#include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -198,14 +195,6 @@ Status MilRfEngine::Learn() {
   return Status::OK();
 }
 
-double MilRfEngine::BagScore(const MilBag& bag) const {
-  double best = -1e18;
-  for (const auto& inst : bag.instances) {
-    best = std::max(best, model_->DecisionValue(inst.features));
-  }
-  return bag.empty() ? -1e18 : best;
-}
-
 std::vector<ScoredBag> MilRfEngine::Rank() const {
   MIVID_TRACE_SPAN("mil/rank");
   MIVID_SCOPED_TIMER("rank/seconds");
@@ -252,130 +241,6 @@ std::vector<ScoredBag> MilRfEngine::Rank() const {
                    });
   ++summary_.rank_calls;
   summary_.total_rank_seconds += SecondsSince(rank_start);
-  MIVID_METRIC_COUNT("rank/bags", ranking.size());
-  MIVID_METRIC_COUNT("rank/calls", 1);
-  return ranking;
-}
-
-std::vector<ScoredBag> MilRfEngine::RankTopK(size_t k) const {
-  if (!model_) return {};
-  if (k == 0) return {};
-  const std::vector<MilBag>& bags = dataset_->bags();
-  const std::shared_ptr<const PackedCorpus> packed = dataset_->EnsurePacked();
-  const bool rbf = model_->kernel().type == KernelType::kRbf;
-  if (!rbf || !packed->valid || k >= bags.size()) {
-    return RetrievalEngine::RankTopK(k);
-  }
-  MIVID_TRACE_SPAN("mil/rank_topk");
-  MIVID_SCOPED_TIMER("rank/seconds");
-  const auto rank_start = std::chrono::steady_clock::now();
-
-  const PreparedKernel kernel(model_->kernel());
-  const double gamma = kernel.gamma();
-  const double rho = model_->rho();
-  const std::vector<Vec>& svs = model_->support_vectors();
-  const Vec& coef = model_->coefficients();
-  const size_t num_sv = svs.size();
-  const PackedFeatureMatrix& feat = packed->features;
-  const SimdOpsTable& ops = SimdOps();
-
-  // suffix[s] = sum of coefficients s..end. An RBF kernel value lies in
-  // (0, 1], so after accumulating the first s support vectors a bag's
-  // decision value can exceed its current partial maximum by at most
-  // suffix[s]. The sums carry ~1e-13 of rounding at most; the pruning
-  // slack below dominates that comfortably.
-  std::vector<double> suffix(num_sv + 1, 0.0);
-  for (size_t s = num_sv; s > 0; --s) suffix[s - 1] = suffix[s] + coef[s - 1];
-  constexpr size_t kSvBlock = 32;
-  // Prune only when the bound is below the k-th score by more than the
-  // slack: the bound's floating-point error is orders of magnitude
-  // smaller, so a pruned bag provably ranks below every kept one — and
-  // can't even tie, which keeps tie-breaking identical to Rank().
-  constexpr double kSlack = 1e-9;
-
-  // Min-heap on (score desc, bag_id asc): top() is the weakest of the
-  // current k best, i.e. the pruning threshold.
-  struct Entry {
-    double score;
-    int bag_id;
-  };
-  // comp(a, b) == "a ranks before b"; the heap's top is then the entry
-  // ranking last among the kept k.
-  const auto better = [](const Entry& a, const Entry& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.bag_id < b.bag_id;
-  };
-  std::vector<Entry> heap;
-  heap.reserve(k);
-  size_t pruned = 0;
-
-  // Serial bag loop in dataset order — same accumulation schedule at any
-  // MIVID_THREADS, and the threshold tightens as strong bags are seen.
-  std::vector<double> d2;
-  std::vector<double> krow;
-  std::vector<double> acc;
-  for (size_t b = 0; b < bags.size(); ++b) {
-    const size_t begin = packed->bag_begin[b];
-    const size_t count = packed->bag_begin[b + 1] - begin;
-    double score;
-    if (count == 0) {
-      score = -1e18;  // Rank() scores empty bags at the floor
-    } else {
-      const bool full = heap.size() < k;
-      const double tau = full ? -std::numeric_limits<double>::infinity()
-                              : heap.front().score;
-      d2.resize(count);
-      krow.resize(count);
-      acc.assign(count, 0.0);
-      const double* x = feat.data() + begin;
-      size_t s = 0;
-      bool below = false;
-      while (s < num_sv) {
-        const size_t s_end = std::min(num_sv, s + kSvBlock);
-        for (; s < s_end; ++s) {
-          ops.direct_d2_row(svs[s].data(), feat.dim(), x, feat.stride(),
-                            count, d2.data());
-          ops.rbf_from_d2_row(gamma, d2.data(), count, krow.data());
-          ops.axpy(coef[s], krow.data(), count, acc.data());
-        }
-        if (s == num_sv) break;
-        double best_acc = acc[0];
-        for (size_t t = 1; t < count; ++t) best_acc = std::max(best_acc, acc[t]);
-        if (best_acc + suffix[s] - rho < tau - kSlack) {
-          below = true;
-          ++pruned;
-          break;
-        }
-      }
-      if (below) continue;
-      // Fully evaluated: the same SIMD rows in the same ascending-SV
-      // order as DecisionValues, so the score bits match Rank() exactly.
-      double best = -1e18;
-      for (size_t t = 0; t < count; ++t) best = std::max(best, acc[t] - rho);
-      score = best;
-    }
-    if (heap.size() < k) {
-      heap.push_back({score, bags[b].id});
-      std::push_heap(heap.begin(), heap.end(), better);
-    } else if (better({score, bags[b].id}, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), better);
-      heap.back() = {score, bags[b].id};
-      std::push_heap(heap.begin(), heap.end(), better);
-    }
-  }
-
-  std::vector<ScoredBag> ranking;
-  ranking.reserve(heap.size());
-  for (const Entry& e : heap) ranking.push_back({e.bag_id, e.score});
-  std::stable_sort(ranking.begin(), ranking.end(),
-                   [](const ScoredBag& a, const ScoredBag& b) {
-                     if (a.score != b.score) return a.score > b.score;
-                     return a.bag_id < b.bag_id;
-                   });
-  ++summary_.rank_calls;
-  summary_.total_rank_seconds += SecondsSince(rank_start);
-  MIVID_METRIC_COUNT("rank/topk_calls", 1);
-  MIVID_METRIC_COUNT("rank/topk_pruned_bags", pruned);
   MIVID_METRIC_COUNT("rank/bags", ranking.size());
   MIVID_METRIC_COUNT("rank/calls", 1);
   return ranking;

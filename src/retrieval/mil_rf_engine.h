@@ -85,25 +85,12 @@ class MilRfEngine : public RetrievalEngine {
   /// Ranks all bags by max-instance decision value (requires trained()).
   std::vector<ScoredBag> Rank() const override;
 
-  /// Exact top-k: identical to truncating Rank(), but bags whose
-  /// decision-value upper bound (partial kernel sum plus the remaining
-  /// coefficient mass) provably falls below the current k-th score stop
-  /// early. RBF only — the bound needs K <= 1; other kernels and
-  /// unpackable corpora fall back to the full ranking.
-  std::vector<ScoredBag> RankTopK(size_t k) const override;
-
-  /// Decision value of a single bag under the current model.
-  double BagScore(const MilBag& bag) const;
-
   /// The nu (delta) used by the last Learn() call.
   double last_nu() const { return last_nu_; }
   size_t last_training_size() const { return last_training_size_; }
   const OneClassSvmModel* model() const {
     return model_ ? &*model_ : nullptr;
   }
-
-  /// Cross-round kernel cache statistics (RBF sessions only).
-  const KernelCache& kernel_cache() const { return kernel_cache_; }
 
   /// Per-round training stats plus ranking totals for this session.
   const RunSummary& run_summary() const override { return summary_; }

@@ -57,9 +57,7 @@ std::vector<ScoredBag> RetrievalSession::CurrentRanking() const {
 }
 
 std::vector<ScoredBag> RetrievalSession::CurrentTopK(size_t k) const {
-  if (engine_->trained()) return engine_->RankTopK(k);
-  std::vector<ScoredBag> ranking = HeuristicRanking(
-      *dataset_, options_.query_model, options_.mil.base_dim);
+  std::vector<ScoredBag> ranking = CurrentRanking();
   if (k < ranking.size()) ranking.resize(k);
   return ranking;
 }

@@ -66,9 +66,8 @@ class RetrievalSession {
   /// engine once it has trained).
   std::vector<ScoredBag> CurrentRanking() const;
 
-  /// The first `k` entries of CurrentRanking() — same bags, scores, and
-  /// order — letting a trained engine early-terminate bags that provably
-  /// miss the top k (see RetrievalEngine::RankTopK).
+  /// CurrentRanking() truncated to its first `k` entries, so served and
+  /// in-process top-k are exact prefixes of the one ranking.
   std::vector<ScoredBag> CurrentTopK(size_t k) const;
 
   /// The top-n bag ids presented to the user this round.

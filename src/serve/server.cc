@@ -335,9 +335,8 @@ std::string RetrievalServer::CmdRank(const ServeRequest& req) {
   std::lock_guard<std::mutex> lock(s.mu);
 
   // Every ranking (engine or heuristic) covers the whole corpus, so the
-  // limit and the reported total are known before ranking; a finite limit
-  // then goes through the top-k path, which lets a trained engine skip
-  // bags that provably miss the cut.
+  // limit and the reported total are known before ranking; the served
+  // list is the session's full ranking truncated to the limit.
   const size_t total = s.session->dataset().bags().size();
   size_t limit = total;
   if (req.top == 0) {

@@ -2,6 +2,7 @@
 // (training-set policies, Eq. 9), the session loop, weighted RF.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -183,6 +184,39 @@ TEST(SessionTest, ColdStartUsesHeuristicThenSwitchesToSvm) {
   EXPECT_TRUE(session.engine().trained());
   EXPECT_EQ(session.round(), 2);
   EXPECT_EQ(session.TopBags().size(), 5u);
+}
+
+TEST(SessionTest, TopKIsExactPrefixOfCurrentRanking) {
+  constexpr size_t kBags = 60;
+  RetrievalSession session(MakeCorpus(kBags, {3, 17, 29, 41}, 9001),
+                           SessionOptions{});
+  auto expect_prefix = [&](const char* phase) {
+    const std::vector<ScoredBag> full = session.CurrentRanking();
+    ASSERT_EQ(full.size(), kBags) << phase;
+    for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{20}, kBags - 1,
+                     kBags, kBags + 40}) {
+      const std::vector<ScoredBag> topk = session.CurrentTopK(k);
+      ASSERT_EQ(topk.size(), std::min(k, kBags)) << phase << " k=" << k;
+      for (size_t i = 0; i < topk.size(); ++i) {
+        EXPECT_EQ(topk[i].bag_id, full[i].bag_id)
+            << phase << " k=" << k << " i=" << i;
+        // Same bits, not just close.
+        EXPECT_EQ(std::bit_cast<uint64_t>(topk[i].score),
+                  std::bit_cast<uint64_t>(full[i].score))
+            << phase << " k=" << k << " i=" << i;
+      }
+    }
+  };
+
+  ASSERT_FALSE(session.engine().trained());
+  expect_prefix("heuristic");
+  ASSERT_TRUE(session
+                  .SubmitFeedback({{3, BagLabel::kRelevant},
+                                   {17, BagLabel::kRelevant},
+                                   {5, BagLabel::kIrrelevant}})
+                  .ok());
+  ASSERT_TRUE(session.engine().trained());
+  expect_prefix("trained");
 }
 
 TEST(SessionTest, FeedbackForUnknownBagFails) {

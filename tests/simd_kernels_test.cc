@@ -1,6 +1,6 @@
 // Bit-identity and dispatch tests for the SIMD kernel primitives
-// (linalg/simd.h), the packed feature layout, the early-termination
-// top-k ranking, and the zero-copy corpus snapshot.
+// (linalg/simd.h), the packed feature layout, the MIL ranking built on
+// them, and the zero-copy corpus snapshot.
 //
 // The load-bearing invariant: every primitive produces bit-identical
 // results on every dispatch tier, so rankings never depend on the host's
@@ -326,30 +326,7 @@ MilDataset MakeCorpus(int n_bags, const std::set<int>& hot_bags,
   return ds;
 }
 
-TEST(RankTopKTest, MatchesTruncatedFullRanking) {
-  MilDataset ds = MakeCorpus(60, {3, 17, 29, 41}, 9001);
-  MilRfEngine engine(&ds, MilRfOptions{});
-  ASSERT_TRUE(ds.SetLabel(3, BagLabel::kRelevant).ok());
-  ASSERT_TRUE(ds.SetLabel(17, BagLabel::kRelevant).ok());
-  ASSERT_TRUE(ds.SetLabel(5, BagLabel::kIrrelevant).ok());
-  ASSERT_TRUE(engine.Learn().ok());
-
-  const std::vector<ScoredBag> full = engine.Rank();
-  ASSERT_EQ(full.size(), 60u);
-  for (size_t k : {size_t{1}, size_t{5}, size_t{20}, size_t{59}, size_t{60},
-                   size_t{100}}) {
-    const std::vector<ScoredBag> topk = engine.RankTopK(k);
-    ASSERT_EQ(topk.size(), std::min(k, full.size())) << "k=" << k;
-    for (size_t i = 0; i < topk.size(); ++i) {
-      EXPECT_EQ(topk[i].bag_id, full[i].bag_id) << "k=" << k << " i=" << i;
-      // Same bits, not just close: pruned bags must never perturb the
-      // surviving scores.
-      EXPECT_EQ(topk[i].score, full[i].score) << "k=" << k << " i=" << i;
-    }
-  }
-}
-
-TEST(RankTopKTest, RankingsAreBitIdenticalAcrossTiers) {
+TEST(MilRfRankTest, BitIdenticalAcrossTiers) {
   if (!Avx2Available()) GTEST_SKIP() << "single-tier host";
   TierGuard guard;
 
