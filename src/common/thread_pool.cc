@@ -68,40 +68,6 @@ bool ThreadPool::InWorkerThread() { return tls_worker_index >= 0; }
 
 int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
 
-void ThreadPool::RunBatch(std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  if (InWorkerThread()) {
-    // Nested fork-join from a worker: run inline. Waiting on the queue
-    // here could deadlock once every worker blocks on sub-tasks.
-    for (auto& t : tasks) t();
-    return;
-  }
-  struct BatchState {
-    std::mutex mu;
-    std::condition_variable done_cv;
-    size_t remaining;
-    std::exception_ptr first_error;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->remaining = tasks.size();
-  for (auto& t : tasks) {
-    Submit([state, task = std::move(t)] {
-      std::exception_ptr error;
-      try {
-        task();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (error && !state->first_error) state->first_error = error;
-      if (--state->remaining == 0) state->done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->remaining == 0; });
-  if (state->first_error) std::rethrow_exception(state->first_error);
-}
-
 int HardwareThreads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
@@ -139,35 +105,6 @@ ThreadPool* GlobalPool() {
     g_pool_size = count;
   }
   return g_pool.get();
-}
-
-size_t ParallelChunkCount(size_t n, size_t grain) {
-  if (n == 0) return 0;
-  if (grain == 0) grain = 1;
-  return (n + grain - 1) / grain;
-}
-
-void ParallelFor(size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  const size_t chunks = (n + grain - 1) / grain;
-  ThreadPool* pool =
-      (chunks > 1 && !ThreadPool::InWorkerThread()) ? GlobalPool() : nullptr;
-  if (pool == nullptr) {
-    // Serial fallback: same chunk boundaries, executed in order.
-    for (size_t begin = 0; begin < n; begin += grain) {
-      fn(begin, std::min(begin + grain, n));
-    }
-    return;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  for (size_t begin = 0; begin < n; begin += grain) {
-    const size_t end = std::min(begin + grain, n);
-    tasks.push_back([&fn, begin, end] { fn(begin, end); });
-  }
-  pool->RunBatch(tasks);
 }
 
 }  // namespace mivid

@@ -1,24 +1,19 @@
-// Fixed-size thread pool plus deterministic data-parallel helpers.
+// Fixed-size thread pool that runs served requests.
 //
-// Design rules (see docs/performance.md):
-//  * Work decomposition is *static*: ParallelFor/ParallelReduce split the
-//    index range into chunks whose boundaries depend only on (n, grain),
-//    never on the thread count. Scheduling is dynamic (idle workers pull
-//    chunks), but because every chunk computes into its own slot and
-//    reductions combine per-chunk results in chunk order, results are
-//    bit-identical at any thread count, including the serial fallback.
-//  * threads == 1 (or nested use from inside a worker) runs inline with no
-//    queue, no locks, and no thread handoff.
-//  * The global pool size comes from SetGlobalThreadCount() (e.g. a
-//    --threads flag) or the MIVID_THREADS environment variable; default is
-//    the hardware concurrency.
+// The execution model (see docs/performance.md, "Threads"): the serving
+// daemons submit each request to the pool, and a request's compute runs
+// serially on the worker that picked it up. No kernel splits its work
+// across threads, so no result depends on the thread count.
+//
+// The global pool size comes from SetGlobalThreadCount() (the --threads
+// flag) or the MIVID_THREADS environment variable; the default is the
+// hardware concurrency.
 
 #ifndef MIVID_COMMON_THREAD_POOL_H_
 #define MIVID_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -41,14 +36,9 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task. Safe to call from worker threads (the task is
-  /// queued, not run inline; use RunBatch for fork-join patterns).
+  /// Enqueues a task to run on some worker. Safe to call from worker
+  /// threads: the task is queued, never run inline. Tasks must not throw.
   void Submit(std::function<void()> task);
-
-  /// Runs all `tasks` to completion and rethrows the first exception any
-  /// of them threw. Called from inside a worker thread it executes the
-  /// batch inline (serially) to avoid queue-wait deadlocks.
-  void RunBatch(std::vector<std::function<void()>>& tasks);
 
   /// True when the calling thread is one of this process's pool workers.
   static bool InWorkerThread();
@@ -73,46 +63,15 @@ int HardwareThreads();
 
 /// Sets the global pool size. `n <= 0` restores the default
 /// (MIVID_THREADS if set, else hardware concurrency). Rebuilds the pool
-/// on next use; not safe to call concurrently with running parallel work.
+/// on next use; not safe to call while the pool runs tasks.
 void SetGlobalThreadCount(int n);
 
-/// The thread count parallel helpers will use (>= 1).
+/// The request pool size (>= 1; at 1 GlobalPool() builds no pool).
 int GlobalThreadCount();
 
 /// Lazily constructed process-wide pool sized to GlobalThreadCount().
 /// Returns nullptr when the effective thread count is 1.
 ThreadPool* GlobalPool();
-
-/// Splits [0, n) into chunks of at most `grain` indices and runs
-/// `fn(begin, end)` over every chunk. Chunk boundaries depend only on
-/// (n, grain). `fn` must only write to chunk-owned data.
-void ParallelFor(size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
-
-/// Number of chunks ParallelFor(n, grain, ...) will produce.
-size_t ParallelChunkCount(size_t n, size_t grain);
-
-/// Deterministic map-reduce: `map(begin, end)` produces one partial value
-/// per chunk; `combine` folds the partials *in chunk order* starting from
-/// `init`. Bit-identical at any thread count for a fixed (n, grain).
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(size_t n, size_t grain, T init, const MapFn& map,
-                 const CombineFn& combine) {
-  if (n == 0) return init;
-  if (grain == 0) grain = 1;
-  const size_t chunks = (n + grain - 1) / grain;
-  std::vector<T> partials;
-  partials.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) partials.emplace_back();
-  ParallelFor(n, grain, [&](size_t begin, size_t end) {
-    partials[begin / grain] = map(begin, end);
-  });
-  T acc = std::move(init);
-  for (size_t c = 0; c < chunks; ++c) {
-    acc = combine(std::move(acc), std::move(partials[c]));
-  }
-  return acc;
-}
 
 }  // namespace mivid
 

@@ -4,7 +4,6 @@
 
 #include "common/ascii_plot.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,48 +16,17 @@ namespace mivid {
 
 namespace {
 
-/// Frames buffered per parallel segmentation batch. Fixed (not derived
-/// from the thread count) so the work decomposition — and therefore the
-/// output — is identical at any thread count, while memory stays bounded
-/// to one batch of frames + masks.
-constexpr size_t kSegmentBatchFrames = 64;
-
 /// Runs the full vision path: render every frame, segment, track.
-///
-/// Only the background update (VehicleSegmenter::Ingest) and the tracker
-/// are order-dependent; the expensive SPCPE/cleanup/blob step is a pure
-/// function of one ingested frame, so each batch fans it out across the
-/// thread pool and then feeds the tracker in frame order.
 std::vector<Track> VisionTracks(const ScenarioSpec& scenario) {
   TrafficWorld world(scenario);
   Renderer renderer(world.spec().layout);
   VehicleSegmenter segmenter;
   Tracker tracker;
-  std::vector<PendingSegmentation> pending;
-  std::vector<int> frame_ids;
-  pending.reserve(kSegmentBatchFrames);
-  frame_ids.reserve(kSegmentBatchFrames);
-  auto flush = [&]() {
-    MIVID_TRACE_SPAN("eval/vision_batch");
-    std::vector<std::vector<Blob>> blobs(pending.size());
-    ParallelFor(pending.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        blobs[i] = VehicleSegmenter::Refine(pending[i], segmenter.options());
-      }
-    });
-    for (size_t i = 0; i < pending.size(); ++i) {
-      tracker.Observe(frame_ids[i], blobs[i]);
-    }
-    pending.clear();
-    frame_ids.clear();
-  };
   while (!world.Done()) {
     world.Step();
-    pending.push_back(segmenter.Ingest(renderer.Render(world.vehicles())));
-    frame_ids.push_back(world.frame() - 1);
-    if (pending.size() >= kSegmentBatchFrames) flush();
+    tracker.Observe(world.frame() - 1,
+                    segmenter.Process(renderer.Render(world.vehicles())));
   }
-  flush();
   return tracker.Finish();
 }
 

@@ -12,8 +12,8 @@
 // mapping (View, used by the zero-copy corpus loader in src/db/): a
 // type-erased keepalive handle pins whatever backs the pointer.
 // Squared norms are precomputed with the same serial per-point
-// accumulation order as Dot(p, p), so norms taken from a packed matrix
-// are bit-identical to the AoS SquaredNorms() path.
+// accumulation order as Dot(p, p), so each norm is bit-identical to
+// Dot(p, p) on the AoS point.
 
 #ifndef MIVID_LINALG_PACKED_MATRIX_H_
 #define MIVID_LINALG_PACKED_MATRIX_H_

@@ -7,9 +7,8 @@
 //    paths (Gram build, SMO, ranking, per-frame segmentation) pay a
 //    single predictable branch.
 //  * When enabled, writes go to per-thread shards (cache-line padded,
-//    relaxed atomics) so pool workers never contend on a shared line and
-//    the deterministic ParallelFor paths stay bit-identical — metrics
-//    never feed back into computation.
+//    relaxed atomics) so concurrent request workers never contend on a
+//    shared line. Metrics never feed back into computation.
 //  * Snapshot() aggregates the shards; it is safe to call concurrently
 //    with writers (reads are atomic; a snapshot taken mid-update simply
 //    misses in-flight increments).

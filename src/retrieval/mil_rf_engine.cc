@@ -202,9 +202,8 @@ std::vector<ScoredBag> MilRfEngine::Rank() const {
   std::vector<ScoredBag> ranking;
   if (!model_) return ranking;
 
-  // Score every instance of every bag in one parallel batch, then take
-  // per-bag maxima (order-independent, so the ranking is identical at any
-  // thread count). The corpus's cached SoA lowering feeds the SIMD batch
+  // Score every instance of every bag in one batch, then take per-bag
+  // maxima. The corpus's cached SoA lowering feeds the SIMD batch
   // path directly; a corpus with mixed instance dimensions falls back to
   // flattening Vec pointers (DecisionValues then evaluates pointwise).
   const std::vector<MilBag>& bags = dataset_->bags();

@@ -45,8 +45,8 @@ std::vector<Blob> VehicleSegmenter::Refine(const PendingSegmentation& pending,
   return blobs;
 }
 
-std::vector<Blob> VehicleSegmenter::Process(const Frame& frame) {
-  return Refine(Ingest(frame), options_);
+std::vector<Blob> VehicleSegmenter::Process(Frame frame) {
+  return Refine(Ingest(std::move(frame)), options_);
 }
 
 }  // namespace mivid

@@ -28,7 +28,7 @@ struct SegmenterOptions {
 /// The sequential front half of segmenting one frame: the frame itself,
 /// its background-subtraction mask, and the background statistics SPCPE
 /// needs. Produced by VehicleSegmenter::Ingest (which owns the stateful
-/// background model); consumed by the pure, parallelizable Refine step.
+/// background model); consumed by the pure Refine step.
 struct PendingSegmentation {
   Frame frame;
   Mask mask;
@@ -38,19 +38,19 @@ struct PendingSegmentation {
 
 /// Stateful frame-by-frame vehicle segmenter.
 ///
-/// Process() == Refine(Ingest(frame)). The split exists so a clip can be
-/// segmented in parallel: Ingest carries the frame-order-dependent
-/// background update (one fused pass over the frame, serial, and a
-/// measured share of the vision path — see docs/performance.md), Refine
-/// carries the SPCPE/cleanup/blob extraction (a pure function of one
-/// PendingSegmentation, safe to fan out across frames).
+/// Process() == Refine(Ingest(frame)). Ingest carries the
+/// frame-order-dependent background update (one fused pass over the
+/// frame); Refine carries the SPCPE/cleanup/blob extraction, a pure
+/// function of one PendingSegmentation. The halves are separate so each
+/// can be timed and tested on its own (the background mask Ingest
+/// produces is pinned by the vision golden tests).
 class VehicleSegmenter {
  public:
   explicit VehicleSegmenter(SegmenterOptions options = {});
 
   /// Processes the next frame; returns the detected vehicle blobs
   /// (empty during background warmup).
-  std::vector<Blob> Process(const Frame& frame);
+  std::vector<Blob> Process(Frame frame);
 
   /// Advances the background model with `frame` and captures everything
   /// the stateless Refine step needs.

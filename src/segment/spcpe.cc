@@ -1,30 +1,14 @@
 #include "segment/spcpe.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mivid {
-
-namespace {
-
-/// Chunk size for the per-pixel parallel passes. The partial sums below
-/// are sums of integer-valued pixel intensities, which doubles represent
-/// exactly, so chunked accumulation is bit-identical to the serial scan
-/// no matter how chunks are scheduled.
-constexpr size_t kPixelGrain = 16384;
-
-/// Per-chunk accumulator for one partition-estimation sweep.
-struct SweepPartial {
-  double sum0 = 0.0, sum1 = 0.0;
-  size_t n0 = 0, n1 = 0;
-  bool changed = false;
-};
-
-}  // namespace
 
 SpcpeResult RunSpcpe(const Frame& frame, const Mask* prior, double bg_hint,
                      const SpcpeOptions& options) {
@@ -61,44 +45,30 @@ SpcpeResult RunSpcpe(const Frame& frame, const Mask* prior, double bg_hint,
     return result;
   }
 
-  // Alternate partition assignment and parameter estimation. Each sweep
-  // is data-parallel over the candidate pixels: a chunk classifies its
-  // pixels (disjoint writes into `assign`) and accumulates partial class
-  // sums, which are folded in chunk order.
+  // Alternate partition assignment and parameter estimation. The class
+  // sums add integer-valued intensities, which doubles represent exactly.
   std::vector<uint8_t> assign(candidates.size(), 0);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
-    const SweepPartial total = ParallelReduce<SweepPartial>(
-        candidates.size(), kPixelGrain, SweepPartial{},
-        [&](size_t begin, size_t end) {
-          SweepPartial p;
-          for (size_t c = begin; c < end; ++c) {
-            const double v = frame.pixels()[candidates[c]];
-            const uint8_t cls =
-                std::fabs(v - mean1) < std::fabs(v - mean0) ? 1 : 0;
-            if (cls != assign[c]) p.changed = true;
-            assign[c] = cls;
-            if (cls) {
-              p.sum1 += v;
-              ++p.n1;
-            } else {
-              p.sum0 += v;
-              ++p.n0;
-            }
-          }
-          return p;
-        },
-        [](SweepPartial acc, SweepPartial p) {
-          acc.sum0 += p.sum0;
-          acc.sum1 += p.sum1;
-          acc.n0 += p.n0;
-          acc.n1 += p.n1;
-          acc.changed = acc.changed || p.changed;
-          return acc;
-        });
-    if (total.n0 > 0) mean0 = total.sum0 / static_cast<double>(total.n0);
-    if (total.n1 > 0) mean1 = total.sum1 / static_cast<double>(total.n1);
-    if (!total.changed) break;
+    double sum0 = 0.0, sum1 = 0.0;
+    size_t n0 = 0, n1 = 0;
+    bool changed = false;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const double v = frame.pixels()[candidates[c]];
+      const uint8_t cls = std::fabs(v - mean1) < std::fabs(v - mean0) ? 1 : 0;
+      if (cls != assign[c]) changed = true;
+      assign[c] = cls;
+      if (cls) {
+        sum1 += v;
+        ++n1;
+      } else {
+        sum0 += v;
+        ++n0;
+      }
+    }
+    if (n0 > 0) mean0 = sum0 / static_cast<double>(n0);
+    if (n1 > 0) mean1 = sum1 / static_cast<double>(n1);
+    if (!changed) break;
   }
 
   // Decide which classes are "vehicle". With a background hint, every
@@ -119,11 +89,9 @@ SpcpeResult RunSpcpe(const Frame& frame, const Mask* prior, double bg_hint,
     fg[0] = mean0 > mean1;
     fg[1] = !fg[0];
   }
-  ParallelFor(candidates.size(), kPixelGrain, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      result.partition[candidates[c]] = fg[assign[c]] ? 1 : 0;
-    }
-  });
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    result.partition[candidates[c]] = fg[assign[c]] ? 1 : 0;
+  }
   result.class_mean[0] = std::min(mean0, mean1);
   result.class_mean[1] = std::max(mean0, mean1);
   MIVID_METRIC_OBSERVE("segment/spcpe_iterations", result.iterations);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/thread_pool.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/simd.h"
 #include "obs/metrics.h"
@@ -28,35 +27,25 @@ double IntPow(double x, int d) {
   return acc;
 }
 
-/// Grain for row-parallel Gram construction: small enough to load-balance
-/// the triangular work, fixed so the decomposition is thread-independent.
-constexpr size_t kGramRowGrain = 4;
-
 /// Copies the computed upper triangle into the lower one. The naive
 /// per-element mirror reads a full matrix column per row — a cache miss
 /// per element at large n — so copy in 32x32 tiles instead: each tile's
 /// source block is 8 KB of contiguous rows that stays resident while the
-/// transposed writes stream out. Runs after the triangle phase completes;
-/// chunks own whole destination row blocks, so writes never race and
-/// reads only touch phase-1 output.
+/// transposed writes stream out.
 void MirrorLowerTriangle(size_t n, double* data) {
   constexpr size_t kTile = 32;
-  const size_t blocks = (n + kTile - 1) / kTile;
-  ParallelFor(blocks, 1, [&](size_t bb, size_t be) {
-    for (size_t b = bb; b < be; ++b) {
-      const size_t i0 = b * kTile;
-      const size_t i1 = std::min(n, i0 + kTile);
-      for (size_t j0 = 0; j0 < i1; j0 += kTile) {
-        const size_t j1 = std::min(n, j0 + kTile);
-        for (size_t i = i0; i < i1; ++i) {
-          const size_t jend = std::min(j1, i);
-          for (size_t j = j0; j < jend; ++j) {
-            data[i * n + j] = data[j * n + i];
-          }
+  for (size_t i0 = 0; i0 < n; i0 += kTile) {
+    const size_t i1 = std::min(n, i0 + kTile);
+    for (size_t j0 = 0; j0 < i1; j0 += kTile) {
+      const size_t j1 = std::min(n, j0 + kTile);
+      for (size_t i = i0; i < i1; ++i) {
+        const size_t jend = std::min(j1, i);
+        for (size_t j = j0; j < jend; ++j) {
+          data[i * n + j] = data[j * n + i];
         }
       }
     }
-  });
+  }
 }
 
 void RecordGramBuild(size_t n) {
@@ -109,31 +98,14 @@ double KernelEval(const KernelParams& params, const Vec& u, const Vec& v) {
   return PreparedKernel(params).Eval(u, v);
 }
 
-double ExpandedSquaredDistance(const Vec& u, double u_norm2, const Vec& v,
-                               double v_norm2) {
-  const double d2 = u_norm2 + v_norm2 - 2.0 * Dot(u, v);
-  return d2 > 0.0 ? d2 : 0.0;
-}
-
-std::vector<double> SquaredNorms(const std::vector<Vec>& points) {
-  std::vector<double> norms(points.size());
-  ParallelFor(points.size(), 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      norms[i] = Dot(points[i], points[i]);
-    }
-  });
-  return norms;
-}
-
 // Both constructors build the upper triangle with the SIMD row kernels
-// (row i covers columns [i, n) — each row is owned by exactly one
-// ParallelFor chunk, so there are no concurrent writes), then mirror in a
-// second pass. The mirrored value is the bit the (j, i) computation would
-// have produced: the expanded d2 is symmetric because IEEE addition and
-// multiplication commute and both sides accumulate k in the same serial
-// order. The diagonal needs no special case: u_norm2 and the streamed dot
-// accumulate the same products in the same order, so d2(i,i) is exactly
-// 0.0 and the RBF row maps it to exactly 1.0.
+// (row i covers columns [i, n)), then mirror it in a second pass. The
+// mirrored value is the bit the (j, i) computation would have produced:
+// the expanded d2 is symmetric because IEEE addition and multiplication
+// commute and both sides accumulate k in the same serial order. The
+// diagonal needs no special case: u_norm2 and the streamed dot accumulate
+// the same products in the same order, so d2(i,i) is exactly 0.0 and the
+// RBF row maps it to exactly 1.0.
 GramMatrix::GramMatrix(const KernelParams& params,
                        const std::vector<Vec>& points)
     : n_(points.size()),
@@ -148,29 +120,23 @@ GramMatrix::GramMatrix(const KernelParams& params,
   const size_t stride = packed.stride();
   const double* norms = packed.squared_norms();
   const SimdOpsTable& ops = SimdOps();
+  std::vector<double> buf(n_);
   if (params.type == KernelType::kRbf) {
     const double gamma = kernel.gamma();
-    ParallelFor(n_, kGramRowGrain, [&](size_t begin, size_t end) {
-      std::vector<double> d2(n_);
-      for (size_t i = begin; i < end; ++i) {
-        const size_t count = n_ - i;
-        ops.expanded_d2_row(points[i].data(), norms[i], dim,
-                            packed.data() + i, stride, norms + i, count,
-                            d2.data());
-        ops.rbf_from_d2_row(gamma, d2.data(), count, &data_[i * n_ + i]);
-      }
-    });
+    for (size_t i = 0; i < n_; ++i) {
+      const size_t count = n_ - i;
+      ops.expanded_d2_row(points[i].data(), norms[i], dim, packed.data() + i,
+                          stride, norms + i, count, buf.data());
+      ops.rbf_from_d2_row(gamma, buf.data(), count, &data_[i * n_ + i]);
+    }
   } else {
-    ParallelFor(n_, kGramRowGrain, [&](size_t begin, size_t end) {
-      std::vector<double> dots(n_);
-      for (size_t i = begin; i < end; ++i) {
-        const size_t count = n_ - i;
-        ops.dot_row(points[i].data(), dim, packed.data() + i, stride, count,
-                    dots.data());
-        double* row = &data_[i * n_ + i];
-        for (size_t t = 0; t < count; ++t) row[t] = kernel.EvalFromDot(dots[t]);
-      }
-    });
+    for (size_t i = 0; i < n_; ++i) {
+      const size_t count = n_ - i;
+      ops.dot_row(points[i].data(), dim, packed.data() + i, stride, count,
+                  buf.data());
+      double* row = &data_[i * n_ + i];
+      for (size_t t = 0; t < count; ++t) row[t] = kernel.EvalFromDot(buf[t]);
+    }
   }
   MirrorLowerTriangle(n_, data_.get());
 }
@@ -187,12 +153,10 @@ GramMatrix::GramMatrix(const KernelParams& params,
   const PreparedKernel kernel(params);
   const double gamma = kernel.gamma();
   const SimdOpsTable& ops = SimdOps();
-  ParallelFor(n_, kGramRowGrain, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ops.rbf_from_d2_row(gamma, squared_distances.data() + i * n_ + i,
-                          n_ - i, &data_[i * n_ + i]);
-    }
-  });
+  for (size_t i = 0; i < n_; ++i) {
+    ops.rbf_from_d2_row(gamma, squared_distances.data() + i * n_ + i, n_ - i,
+                        &data_[i * n_ + i]);
+  }
   MirrorLowerTriangle(n_, data_.get());
 }
 

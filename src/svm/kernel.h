@@ -54,22 +54,10 @@ class PreparedKernel {
 /// Evaluates K(u, v) under `params`. Prefer PreparedKernel in loops.
 double KernelEval(const KernelParams& params, const Vec& u, const Vec& v);
 
-/// |u - v|^2 via the expansion |u|^2 + |v|^2 - 2 u.v given precomputed
-/// squared norms (clamped at 0 against cancellation). This is the one
-/// formula every Gram/cache path uses, so cached and uncached entries are
-/// bit-identical.
-double ExpandedSquaredDistance(const Vec& u, double u_norm2, const Vec& v,
-                               double v_norm2);
-
-/// Squared norms |p_i|^2 for every point (computed in parallel).
-std::vector<double> SquaredNorms(const std::vector<Vec>& points);
-
 /// Precomputed symmetric kernel (Gram) matrix over a training set.
 ///
 /// The one-class solver touches rows repeatedly; for the training sets of
-/// an RF session a full dense Gram matrix is the fastest cache. Rows are
-/// filled in parallel (entries are independent, so the result does not
-/// depend on the thread count).
+/// an RF session a full dense Gram matrix is the fastest cache.
 class GramMatrix {
  public:
   GramMatrix(const KernelParams& params, const std::vector<Vec>& points);

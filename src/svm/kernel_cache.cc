@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/simd.h"
 #include "obs/metrics.h"
@@ -16,8 +15,6 @@ uint64_t PackId(InstanceKey key) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(key.bag_id)) << 32) |
          static_cast<uint32_t>(key.instance_id);
 }
-
-constexpr size_t kDirtyRowGrain = 4;
 
 }  // namespace
 
@@ -55,12 +52,12 @@ Matrix KernelCache::PairwiseSquaredDistances(
   const uint64_t hits_before = hits_;
   const uint64_t misses_before = misses_;
 
-  // Phase 1 (serial): map ids to union rows, count hits/misses, and pick
-  // the dirty set — a greedy cover of the invalid pairs by whole query
-  // points. Scanning j ascending: if pair (i, j) is invalid and i is not
-  // already dirty, j goes dirty; invalid pairs whose i is dirty are
-  // covered by i's row recompute. Afterwards every invalid pair has at
-  // least one dirty endpoint.
+  // Phase 1: map ids to union rows, count hits/misses, and pick the dirty
+  // set — a greedy cover of the invalid pairs by whole query points.
+  // Scanning j ascending: if pair (i, j) is invalid and i is not already
+  // dirty, j goes dirty; invalid pairs whose i is dirty are covered by
+  // i's row recompute. Afterwards every invalid pair has at least one
+  // dirty endpoint.
   std::vector<uint32_t> row(n);
   for (size_t i = 0; i < n; ++i) row[i] = RowFor(ids[i]);
   std::vector<uint8_t> dirty(n, 0);
@@ -81,33 +78,22 @@ Matrix KernelCache::PairwiseSquaredDistances(
   }
 
   if (!dirty_list.empty()) {
-    // Phase 2 (parallel): stream each dirty point's full-width distance
-    // row against a packed copy of the query set. Rows land in per-point
-    // scratch slots, so chunks never share writes; pairs where both ends
-    // are dirty get computed twice, but the expanded formula is exactly
-    // symmetric, so both computations produce the same bits.
+    // Phase 2: stream each dirty point's full-width distance row against
+    // a packed copy of the query set and publish it at once. A pair whose
+    // ends are both dirty is published by the first of them; the expanded
+    // formula is exactly symmetric, so the second would produce the same
+    // bits.
     std::vector<const Vec*> ptrs(n);
     for (size_t i = 0; i < n; ++i) ptrs[i] = &points[i];
     const PackedFeatureMatrix packed =
         PackedFeatureMatrix::FromPoints(ptrs, points[0].size());
     const double* norms = packed.squared_norms();
     const SimdOpsTable& ops = SimdOps();
-    std::vector<double> scratch(dirty_list.size() * n);
-    ParallelFor(dirty_list.size(), kDirtyRowGrain,
-                [&](size_t begin, size_t end) {
-                  for (size_t m = begin; m < end; ++m) {
-                    const size_t q = dirty_list[m];
-                    ops.expanded_d2_row(points[q].data(), norms[q],
-                                        packed.dim(), packed.data(),
-                                        packed.stride(), norms, n,
-                                        scratch.data() + m * n);
-                  }
-                });
-
-    // Phase 3 (serial): publish the fresh rows into the union matrix.
-    for (size_t m = 0; m < dirty_list.size(); ++m) {
-      const size_t q = dirty_list[m];
-      const double* fresh = scratch.data() + m * n;
+    std::vector<double> fresh(n);
+    for (const size_t q : dirty_list) {
+      ops.expanded_d2_row(points[q].data(), norms[q], packed.dim(),
+                          packed.data(), packed.stride(), norms, n,
+                          fresh.data());
       const size_t rq = row[q];
       for (size_t i = 0; i < n; ++i) {
         if (i == q) continue;

@@ -19,7 +19,7 @@
 // are filled by streaming whole rows through the SIMD expanded-distance
 // primitive (simd.h) against a packed SoA copy of the query points: a
 // greedy cover picks the fewest query points whose full rows close all
-// invalid pairs, those rows are computed in parallel, and the result
+// invalid pairs, those rows are computed and published, and the result
 // matrix is then gathered with O(n^2) array reads — no hashing on the
 // hot path. Distances use the same expanded formula and accumulation
 // order as the uncached GramMatrix fast path, so cached and uncached
@@ -44,16 +44,14 @@ struct InstanceKey {
 };
 
 /// Session-scoped cache of pairwise squared distances between identified
-/// instances. Not thread-safe; the parallel phase of
-/// PairwiseSquaredDistances only touches cache state from the calling
-/// thread.
+/// instances. Not thread-safe.
 class KernelCache {
  public:
   KernelCache() = default;
 
   /// Builds the full symmetric |points| x |points| squared-distance matrix,
-  /// serving repeated pairs from the cache and computing missing pairs in
-  /// parallel. `ids[i]` must be the stable identity of `points[i]`.
+  /// serving repeated pairs from the cache and computing missing pairs.
+  /// `ids[i]` must be the stable identity of `points[i]`.
   Matrix PairwiseSquaredDistances(const std::vector<Vec>& points,
                                   const std::vector<InstanceKey>& ids);
 

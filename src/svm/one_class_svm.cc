@@ -5,12 +5,20 @@
 #include <limits>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mivid {
+
+namespace {
+
+/// Points per block of the packed DecisionValues pass: three 64-double
+/// rows (d2, kernel values, accumulators) take 1.5 KB and stay in L1
+/// while every support vector streams across the block.
+constexpr size_t kL1BlockPoints = 64;
+
+}  // namespace
 
 double OneClassSvmModel::DecisionValue(const Vec& x) const {
   const PreparedKernel kernel(kernel_);
@@ -38,15 +46,13 @@ std::vector<double> OneClassSvmModel::DecisionValues(
   // Mixed dimensions cannot be packed; evaluate pointwise.
   const PreparedKernel kernel(kernel_);
   std::vector<double> values(xs.size());
-  ParallelFor(xs.size(), 16, [&](size_t begin, size_t end) {
-    for (size_t q = begin; q < end; ++q) {
-      double acc = 0.0;
-      for (size_t i = 0; i < support_vectors_.size(); ++i) {
-        acc += coefficients_[i] * kernel.Eval(support_vectors_[i], *xs[q]);
-      }
-      values[q] = acc - rho_;
+  for (size_t q = 0; q < xs.size(); ++q) {
+    double acc = 0.0;
+    for (size_t i = 0; i < support_vectors_.size(); ++i) {
+      acc += coefficients_[i] * kernel.Eval(support_vectors_[i], *xs[q]);
     }
-  });
+    values[q] = acc - rho_;
+  }
   return values;
 }
 
@@ -60,15 +66,17 @@ std::vector<double> OneClassSvmModel::DecisionValues(
   const size_t stride = xs.stride();
   const bool rbf = kernel_.type == KernelType::kRbf;
   const double gamma = kernel.gamma();
-  // One support vector streamed across the chunk per pass; each point's
-  // accumulator takes the coefficient terms in the same ascending-i order
-  // DecisionValue uses, so the sums carry identical bits.
-  ParallelFor(xs.n(), 64, [&](size_t begin, size_t end) {
-    const size_t count = end - begin;
+  // Points go in L1-sized blocks; one support vector is streamed across
+  // the block per pass. Each point's accumulator takes the coefficient
+  // terms in the same ascending-i order DecisionValue uses, so the sums
+  // carry identical bits.
+  std::vector<double> d2(kL1BlockPoints);
+  std::vector<double> krow(kL1BlockPoints);
+  std::vector<double> acc(kL1BlockPoints);
+  for (size_t begin = 0; begin < xs.n(); begin += kL1BlockPoints) {
+    const size_t count = std::min(kL1BlockPoints, xs.n() - begin);
     const double* x = xs.data() + begin;
-    std::vector<double> d2(count);
-    std::vector<double> krow(count);
-    std::vector<double> acc(count, 0.0);
+    std::fill_n(acc.begin(), count, 0.0);
     for (size_t i = 0; i < support_vectors_.size(); ++i) {
       if (rbf) {
         ops.direct_d2_row(support_vectors_[i].data(), dim, x, stride, count,
@@ -84,7 +92,7 @@ std::vector<double> OneClassSvmModel::DecisionValues(
       ops.axpy(coefficients_[i], krow.data(), count, acc.data());
     }
     for (size_t t = 0; t < count; ++t) values[begin + t] = acc[t] - rho_;
-  });
+  }
   MIVID_METRIC_COUNT("simd/kernel_row_cells",
                      xs.n() * support_vectors_.size());
   return values;
@@ -148,18 +156,14 @@ Result<OneClassSvmModel> OneClassSvmTrainer::Train(
   }
 
   // Gradient of 1/2 a^T Q a is Q a, built as an i-outer sweep of axpy
-  // updates over Gram rows. Parallel over column chunks: each grad[j]
-  // accumulates its sum over i in ascending order (the same order a
-  // serial j-inner loop adds them), so the result is thread-independent.
+  // updates over Gram rows: each grad[j] accumulates its sum over i in
+  // ascending order.
   const SimdOpsTable& ops = SimdOps();
   Vec grad(n, 0.0);
-  ParallelFor(n, 256, [&](size_t begin, size_t end) {
-    for (size_t i = 0; i < n; ++i) {
-      if (alpha[i] == 0.0) continue;
-      ops.axpy(alpha[i], gram.RowPtr(i) + begin, end - begin,
-               grad.data() + begin);
-    }
-  });
+  for (size_t i = 0; i < n; ++i) {
+    if (alpha[i] == 0.0) continue;
+    ops.axpy(alpha[i], gram.RowPtr(i), n, grad.data());
+  }
 
   const double kTau = 1e-12;
   int iterations = 0;

@@ -40,9 +40,8 @@ class OneClassSvmModel {
   /// Positive inside the learned support region.
   double DecisionValue(const Vec& x) const;
 
-  /// Decision values for a batch of points, evaluated in parallel.
-  /// Each value is computed exactly as DecisionValue would (same
-  /// accumulation order), so results are thread-count independent.
+  /// Decision values for a batch of points. Each value is computed
+  /// exactly as DecisionValue would (same accumulation order).
   /// Uniform-dimension batches are packed and routed through the SIMD
   /// batch path below; mixed dimensions fall back to pointwise Eval.
   std::vector<double> DecisionValues(const std::vector<const Vec*>& xs) const;

@@ -1,7 +1,7 @@
-// Determinism regression tests for the parallel execution layer: every
-// parallel hot path (Gram construction, SVM training, bag ranking, SPCPE,
-// the vision pipeline) must produce bit-identical results at any thread
-// count. See docs/performance.md for the guarantee and how it is kept.
+// Determinism regression tests: the whole experiment does not depend on
+// the thread count, and the kernel cache does not change a Gram matrix
+// or depend on its own history. The bits of each numeric kernel are
+// pinned in simd_kernels_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -36,27 +36,6 @@ void AtThreadCounts(const Fn& fn, decltype(fn()) * serial,
   SetGlobalThreadCount(0);
 }
 
-TEST(DeterminismTest, GramMatrixBitIdenticalAcrossThreadCounts) {
-  const auto points = RandomPoints(64, 9, 7);
-  for (const KernelType type :
-       {KernelType::kRbf, KernelType::kLinear, KernelType::kPoly}) {
-    KernelParams params;
-    params.type = type;
-    auto build = [&] {
-      GramMatrix gram(params, points);
-      std::vector<double> flat;
-      flat.reserve(points.size() * points.size());
-      for (size_t i = 0; i < gram.size(); ++i) {
-        for (size_t j = 0; j < gram.size(); ++j) flat.push_back(gram.At(i, j));
-      }
-      return flat;
-    };
-    std::vector<double> serial, parallel;
-    AtThreadCounts(build, &serial, &parallel);
-    EXPECT_EQ(serial, parallel) << "kernel type " << static_cast<int>(type);
-  }
-}
-
 TEST(DeterminismTest, CachedGramMatchesUncached) {
   const auto points = RandomPoints(48, 9, 21);
   std::vector<InstanceKey> ids(points.size());
@@ -81,30 +60,10 @@ TEST(DeterminismTest, CachedGramMatchesUncached) {
   }
 }
 
-TEST(DeterminismTest, OneClassSvmTrainingIdenticalAcrossThreadCounts) {
-  const auto points = RandomPoints(120, 9, 33);
-  OneClassSvmOptions options;
-  options.nu = 0.25;
-  auto train = [&] {
-    auto model = OneClassSvmTrainer(options).Train(points);
-    Vec signature{model->rho(),
-                  static_cast<double>(model->num_support_vectors()),
-                  static_cast<double>(model->iterations_used())};
-    for (const double a : model->coefficients()) signature.push_back(a);
-    for (const auto& q : RandomPoints(10, 9, 5)) {
-      signature.push_back(model->DecisionValue(q));
-    }
-    return signature;
-  };
-  Vec serial, parallel;
-  AtThreadCounts(train, &serial, &parallel);
-  EXPECT_EQ(serial, parallel);
-}
-
 TEST(DeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
   // End-to-end through the *vision* pipeline: render -> background ->
-  // SPCPE (parallel sweeps) -> parallel per-frame refinement -> tracking
-  // -> MIL feedback rounds with parallel Gram/ranking.
+  // SPCPE -> refinement -> tracking -> MIL feedback rounds. The thread
+  // count only sizes the request pool; no result may depend on it.
   TunnelScenarioOptions scenario_options;
   scenario_options.total_frames = 400;
   scenario_options.num_wall_crashes = 1;

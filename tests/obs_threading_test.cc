@@ -1,6 +1,7 @@
-// Concurrency tests for the observability subsystem: exact counting under
-// ParallelFor, snapshot-under-load, concurrent tracing, and log-line
-// atomicity. Lives in mivid_threading_tests so CI also runs it under TSan.
+// Concurrency tests for the observability subsystem: exact counting from
+// concurrent threads, snapshot-under-load, concurrent tracing, and
+// log-line atomicity. Lives in mivid_threading_tests so CI also runs it
+// under TSan.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,24 @@
 namespace mivid {
 namespace {
 
+/// Runs `body(i)` for every i in [0, items) split across `kWriters`
+/// threads, each taking a contiguous slice.
+template <typename Body>
+void RunOnThreads(size_t items, const Body& body) {
+  constexpr size_t kWriters = 4;
+  std::vector<std::thread> threads;
+  threads.reserve(kWriters);
+  for (size_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&body, items, t] {
+      for (size_t i = items * t / kWriters; i < items * (t + 1) / kWriters;
+           ++i) {
+        body(i);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
 class ObsThreadingTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,19 +61,15 @@ class ObsThreadingTest : public ::testing::Test {
 TEST_F(ObsThreadingTest, ConcurrentCounterIncrementsSumExactly) {
   Counter& c = MetricsRegistry::Global().GetCounter("thr/counter");
   constexpr size_t kItems = 100000;
-  ParallelFor(kItems, 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) c.Increment();
-  });
+  RunOnThreads(kItems, [&](size_t) { c.Increment(); });
   EXPECT_EQ(c.Value(), kItems);
 }
 
 TEST_F(ObsThreadingTest, ConcurrentHistogramObservesCountExactly) {
   Histogram& h = MetricsRegistry::Global().GetHistogram("thr/hist");
   constexpr size_t kItems = 50000;
-  ParallelFor(kItems, 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      h.Observe(1e-3 * static_cast<double>(i % 100 + 1));
-    }
+  RunOnThreads(kItems, [&](size_t i) {
+    h.Observe(1e-3 * static_cast<double>(i % 100 + 1));
   });
   const HistogramStats stats = h.Stats();
   EXPECT_EQ(stats.count, kItems);
@@ -92,11 +107,7 @@ TEST_F(ObsThreadingTest, SnapshotUnderLoadIsConsistent) {
 
 TEST_F(ObsThreadingTest, ConcurrentSpansAllRetained) {
   constexpr size_t kItems = 2000;
-  ParallelFor(kItems, 8, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      MIVID_TRACE_SPAN("thr/span");
-    }
-  });
+  RunOnThreads(kItems, [](size_t) { MIVID_TRACE_SPAN("thr/span"); });
   const std::vector<TraceEventData> events = CollectTraceEvents();
   size_t ours = 0;
   for (const TraceEventData& e : events) {
@@ -126,17 +137,18 @@ TEST_F(ObsThreadingTest, CollectWhileRecordingIsSafe) {
 
 TEST(ThreadPoolIndexTest, WorkerIndexVisibleInsidePoolOnly) {
   EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
-  SetGlobalThreadCount(4);
-  std::atomic<int> seen_worker{0};
-  ParallelFor(1000, 1, [&](size_t begin, size_t end) {
-    (void)begin;
-    (void)end;
-    const int idx = ThreadPool::CurrentWorkerIndex();
-    // Chunks run either inline on the caller (-1) or on a pool worker.
-    EXPECT_GE(idx, -1);
-    if (idx >= 0) seen_worker.fetch_add(1, std::memory_order_relaxed);
-  });
-  SetGlobalThreadCount(0);
+  constexpr int kTasks = 1000;
+  std::atomic<int> in_range{0};
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < kTasks; ++i) {
+      pool.Submit([&in_range] {
+        const int idx = ThreadPool::CurrentWorkerIndex();
+        if (idx >= 0 && idx < 4) in_range.fetch_add(1);
+      });
+    }
+  }  // the destructor drains the queue
+  EXPECT_EQ(in_range.load(), kTasks);
   EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
 }
 

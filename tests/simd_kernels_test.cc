@@ -7,6 +7,7 @@
 // instruction set (or on MIVID_SIMD / MIVID_THREADS).
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
@@ -16,16 +17,26 @@
 
 #include "common/rng.h"
 #include "db/packed_corpus_io.h"
+#include "fnv1a.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/simd.h"
+#include "mil/citation_knn.h"
 #include "mil/dataset.h"
 #include "mil/packed_corpus.h"
 #include "retrieval/mil_rf_engine.h"
+#include "segment/segmenter.h"
+#include "segment/spcpe.h"
+#include "svm/kernel.h"
+#include "svm/kernel_cache.h"
+#include "svm/one_class_svm.h"
+#include "trafficsim/renderer.h"
+#include "trafficsim/scenarios.h"
 
 namespace mivid {
 namespace {
 
 namespace fs = std::filesystem;
+using test::Fnv1a;
 
 /// Restores native dispatch however a test leaves the tier.
 class TierGuard {
@@ -347,6 +358,187 @@ TEST(MilRfRankTest, BitIdenticalAcrossTiers) {
     EXPECT_EQ(scalar[i].bag_id, avx2[i].bag_id) << i;
     EXPECT_EQ(scalar[i].score, avx2[i].score) << i;
   }
+}
+
+// ---------------------------------------------------------------------
+// Golden pins: FNV-1a hashes of the outputs of every numeric loop that
+// builds a Gram matrix, trains or evaluates an SVM, partitions a frame or
+// ranks by citation. Each pin holds on every tier and at any
+// MIVID_THREADS, so a rewrite of one of these loops must keep its
+// per-element accumulation order to keep the bits.
+
+/// Runs `hash` on every available tier and checks each result against
+/// the golden `want`.
+template <typename Fn>
+void ExpectPinnedOnEveryTier(uint64_t want, const Fn& hash) {
+  TierGuard guard;
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+    if (tier == SimdTier::kAvx2 && !Avx2Available()) continue;
+    SetSimdTier(static_cast<int>(tier));
+    const uint64_t got = hash();
+    EXPECT_EQ(got, want) << SimdTierName(tier) << std::hex << " got 0x"
+                         << got;
+  }
+}
+
+void HashGram(const GramMatrix& gram, Fnv1a* h) {
+  for (size_t i = 0; i < gram.size(); ++i) {
+    for (size_t j = 0; j < gram.size(); ++j) h->Double(gram.At(i, j));
+  }
+}
+
+void HashModel(const OneClassSvmModel& model, Fnv1a* h) {
+  h->Double(model.rho());
+  h->Int(model.iterations_used());
+  h->Int(static_cast<int64_t>(model.num_support_vectors()));
+  for (const double a : model.coefficients()) h->Double(a);
+}
+
+TEST(SimdKernelsTest, GramMatrixPinned) {
+  // n = 70 crosses a 32-row mirror tile and leaves a partial last tile.
+  const auto points = RandomPoints(70, 9, 7);
+  auto pin = [&](KernelType type, uint64_t want) {
+    KernelParams params;
+    params.type = type;
+    ExpectPinnedOnEveryTier(want, [&] {
+      Fnv1a h;
+      HashGram(GramMatrix(params, points), &h);
+      return h.value();
+    });
+  };
+  pin(KernelType::kRbf, 0x87f588ada1c5da4dULL);
+  pin(KernelType::kLinear, 0x97d0d7077746e4feULL);
+  pin(KernelType::kPoly, 0x346f473c0fb5c9fcULL);
+}
+
+TEST(SimdKernelsTest, CachedGramPinned) {
+  // Round two reuses round one's 40 x 40 block and computes only the
+  // rows of the 30 new points.
+  const auto points = RandomPoints(70, 9, 11);
+  std::vector<InstanceKey> ids(points.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = {static_cast<int>(i / 3), static_cast<int>(i % 3)};
+  }
+  ExpectPinnedOnEveryTier(0x5ec8acfe05108a95ULL, [&] {
+    KernelCache cache;
+    (void)cache.PairwiseSquaredDistances(
+        std::vector<Vec>(points.begin(), points.begin() + 40),
+        std::vector<InstanceKey>(ids.begin(), ids.begin() + 40));
+    const Matrix d2 = cache.PairwiseSquaredDistances(points, ids);
+    Fnv1a h;
+    for (size_t i = 0; i < d2.rows(); ++i) {
+      for (size_t j = 0; j < d2.cols(); ++j) h.Double(d2.At(i, j));
+    }
+    HashGram(GramMatrix(KernelParams{}, d2), &h);
+    return h.value();
+  });
+}
+
+TEST(SimdKernelsTest, OneClassSvmTrainingPinned) {
+  // 300 points: the SMO initial gradient spans more than 256 columns.
+  const auto points = RandomPoints(300, 9, 33);
+  OneClassSvmOptions options;
+  options.nu = 0.25;
+  ExpectPinnedOnEveryTier(0xd0caab1b2be76622ULL, [&] {
+    auto model = OneClassSvmTrainer(options).Train(points);
+    EXPECT_TRUE(model.ok());
+    Fnv1a h;
+    HashModel(*model, &h);
+    return h.value();
+  });
+}
+
+TEST(SimdKernelsTest, PackedDecisionValuesPinned) {
+  // 200 query points: three full 64-point blocks and a partial one.
+  const auto train = RandomPoints(40, 9, 5);
+  const auto queries = RandomPoints(200, 9, 6);
+  const PackedFeatureMatrix packed = PackRandom(queries);
+  auto pin = [&](KernelType type, uint64_t want) {
+    OneClassSvmOptions options;
+    options.kernel.type = type;
+    ExpectPinnedOnEveryTier(want, [&] {
+      auto model = OneClassSvmTrainer(options).Train(train);
+      EXPECT_TRUE(model.ok());
+      Fnv1a h;
+      HashModel(*model, &h);
+      for (const double v : model->DecisionValues(packed)) h.Double(v);
+      return h.value();
+    });
+  };
+  pin(KernelType::kRbf, 0x39eec1bdcdd138e5ULL);
+  pin(KernelType::kPoly, 0xc3af361098f357baULL);
+}
+
+TEST(SimdKernelsTest, MixedDimensionDecisionValuesPinned) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "a point longer than the support vectors trips the "
+                  "kernel's dimension assert";
+#endif
+  // One query point carries an extra trailing feature, so the batch
+  // cannot be packed and every point is evaluated pointwise; the kernel
+  // reads the support vectors' leading `dim` features of each point.
+  const auto train = RandomPoints(40, 9, 5);
+  auto queries = RandomPoints(200, 9, 6);
+  queries[17].push_back(3.0);
+  std::vector<const Vec*> ptrs;
+  for (const auto& q : queries) ptrs.push_back(&q);
+  ExpectPinnedOnEveryTier(0xc92e1d60a242cdc9ULL, [&] {
+    auto model = OneClassSvmTrainer(OneClassSvmOptions{}).Train(train);
+    EXPECT_TRUE(model.ok());
+    Fnv1a h;
+    for (const double v : model->DecisionValues(ptrs)) h.Double(v);
+    return h.value();
+  });
+}
+
+TEST(SimdKernelsTest, SpcpePinned) {
+  // A rendered tunnel frame after 150 frames of background learning.
+  // Without a prior all 76 800 pixels are candidates; with the
+  // background-subtraction mask as prior only the foreground is.
+  auto pin = [](bool with_prior, uint64_t want) {
+    ExpectPinnedOnEveryTier(want, [&] {
+      TrafficWorld world(MakeTunnelScenario());
+      Renderer renderer(world.spec().layout);
+      VehicleSegmenter segmenter;
+      PendingSegmentation pending;
+      for (int f = 0; f < 150; ++f) {
+        world.Step();
+        pending = segmenter.Ingest(renderer.Render(world.vehicles()));
+      }
+      EXPECT_TRUE(pending.ready);
+      const SpcpeResult result =
+          with_prior ? RunSpcpe(pending.frame, &pending.mask, pending.bg_mean)
+                     : RunSpcpe(pending.frame, nullptr, -1.0);
+      EXPECT_GT(result.iterations, 1);
+      Fnv1a h;
+      h.Bytes(result.partition.data(), result.partition.size());
+      h.Double(result.class_mean[0]);
+      h.Double(result.class_mean[1]);
+      h.Int(result.iterations);
+      h.Int(result.two_classes ? 1 : 0);
+      return h.value();
+    });
+  };
+  pin(false, 0x67754e77a9e394f5ULL);
+  pin(true, 0x7bee5cee5af86417ULL);
+}
+
+TEST(SimdKernelsTest, CitationKnnRankingPinned) {
+  ExpectPinnedOnEveryTier(0x444a685c661b009fULL, [] {
+    MilDataset ds = MakeCorpus(60, {3, 17, 29, 41}, 777);
+    for (int b : {3, 29}) EXPECT_TRUE(ds.SetLabel(b, BagLabel::kRelevant).ok());
+    for (int b : {10, 20}) {
+      EXPECT_TRUE(ds.SetLabel(b, BagLabel::kIrrelevant).ok());
+    }
+    CitationKnnEngine engine(&ds, CitationKnnOptions{});
+    EXPECT_TRUE(engine.Learn().ok());
+    Fnv1a h;
+    for (const ScoredBag& s : engine.Rank()) {
+      h.Int(s.bag_id);
+      h.Double(s.score);
+    }
+    return h.value();
+  });
 }
 
 TEST(PackedCorpusIoTest, SnapshotRoundTripsAndIsAdoptedZeroCopy) {

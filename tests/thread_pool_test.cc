@@ -3,23 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <stdexcept>
-#include <vector>
 
 namespace mivid {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&count] { count.fetch_add(1); });
-  }
-  pool.RunBatch(tasks);
-  EXPECT_EQ(count.load(), 100);
-}
 
 TEST(ThreadPoolTest, DrainsQueueOnDestruction) {
   std::atomic<int> count{0};
@@ -31,89 +17,6 @@ TEST(ThreadPoolTest, DrainsQueueOnDestruction) {
     // No explicit wait: the destructor must run everything already queued.
   }
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, PropagatesFirstException) {
-  ThreadPool pool(4);
-  std::vector<std::function<void()>> tasks;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    tasks.push_back([&ran, i] {
-      ran.fetch_add(1);
-      if (i % 4 == 0) throw std::runtime_error("task failed");
-    });
-  }
-  EXPECT_THROW(pool.RunBatch(tasks), std::runtime_error);
-  // The batch still runs to completion (no task is abandoned mid-queue).
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ThreadPoolTest, ParallelForExceptionPropagates) {
-  SetGlobalThreadCount(4);
-  EXPECT_THROW(ParallelFor(100, 10,
-                           [](size_t begin, size_t) {
-                             if (begin == 50) {
-                               throw std::runtime_error("chunk failed");
-                             }
-                           }),
-               std::runtime_error);
-  SetGlobalThreadCount(0);
-}
-
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  SetGlobalThreadCount(4);
-  std::vector<int> out(64, 0);
-  // Outer ParallelFor puts chunks on workers; the inner call inside a
-  // worker must execute inline instead of deadlocking on the queue.
-  ParallelFor(out.size(), 8, [&](size_t begin, size_t end) {
-    ParallelFor(end - begin, 2, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) out[begin + i] = static_cast<int>(i);
-    });
-  });
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i % 8));
-  }
-  SetGlobalThreadCount(0);
-}
-
-TEST(ThreadPoolTest, ChunkBoundariesIndependentOfThreadCount) {
-  auto chunk_spans = [](size_t n, size_t grain) {
-    std::vector<std::pair<size_t, size_t>> spans(ParallelChunkCount(n, grain));
-    ParallelFor(n, grain, [&](size_t begin, size_t end) {
-      spans[begin / grain] = {begin, end};
-    });
-    return spans;
-  };
-  SetGlobalThreadCount(1);
-  const auto serial = chunk_spans(103, 10);
-  SetGlobalThreadCount(7);
-  const auto parallel = chunk_spans(103, 10);
-  SetGlobalThreadCount(0);
-  EXPECT_EQ(serial, parallel);
-  ASSERT_EQ(serial.size(), 11u);
-  EXPECT_EQ(serial.back().second, 103u);
-}
-
-TEST(ThreadPoolTest, ParallelReduceMatchesSerialSum) {
-  std::vector<double> values(1000);
-  std::iota(values.begin(), values.end(), 1.0);
-  auto sum = [&] {
-    return ParallelReduce<double>(
-        values.size(), 64, 0.0,
-        [&](size_t begin, size_t end) {
-          double acc = 0.0;
-          for (size_t i = begin; i < end; ++i) acc += values[i];
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  SetGlobalThreadCount(1);
-  const double serial = sum();
-  SetGlobalThreadCount(8);
-  const double parallel = sum();
-  SetGlobalThreadCount(0);
-  EXPECT_EQ(serial, parallel);  // bit-identical, not just approximately
-  EXPECT_EQ(serial, 1000.0 * 1001.0 / 2.0);
 }
 
 TEST(ThreadPoolTest, GlobalThreadCountOverride) {

@@ -13,13 +13,13 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fnv1a.h"
 #include "linalg/simd.h"
 #include "segment/segmenter.h"
 #include "trafficsim/renderer.h"
@@ -32,27 +32,7 @@ void PrintTo(SimdTier tier, std::ostream* os) { *os << SimdTierName(tier); }
 
 namespace {
 
-/// 64-bit FNV-1a over a byte stream.
-class Fnv1a {
- public:
-  void Bytes(const void* data, size_t n) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
-  void Double(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Bytes(&bits, sizeof(bits));
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using test::Fnv1a;
 
 struct FrontEndHashes {
   uint64_t frames = 0;

@@ -1043,8 +1043,10 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  // Global flag: --threads N caps the worker pool (overrides the
-  // MIVID_THREADS environment variable; 1 forces the serial path).
+  // Global flag: --threads N sizes the pool that runs served requests
+  // (overrides the MIVID_THREADS environment variable; 1 runs each
+  // request on its connection thread). Other commands compute serially
+  // at any setting.
   std::vector<std::string> words;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
