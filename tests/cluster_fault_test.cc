@@ -218,6 +218,23 @@ struct FaultTestEnv {
   std::vector<std::string> cameras;
 };
 
+/// Stores one 700-frame tunnel clip (ground-truth tracks) as `camera`.
+void IngestTunnelCamera(VideoDb* db, const std::string& camera) {
+  TunnelScenarioOptions scenario_options;
+  scenario_options.total_frames = 700;
+  scenario_options.num_wall_crashes = 1;
+  scenario_options.num_sudden_stops = 1;
+  scenario_options.num_speeding = 0;
+  scenario_options.num_uturns = 0;
+  const ScenarioSpec scenario = MakeTunnelScenario(scenario_options);
+  TrafficWorld world(scenario);
+  const GroundTruth gt = world.Run();
+  ClipInfo info;
+  info.camera_id = camera;
+  info.total_frames = scenario.total_frames;
+  if (!db->IngestClip(info, gt.tracks, gt.incidents).ok()) std::abort();
+}
+
 FaultTestEnv& Env() {
   static FaultTestEnv* env = [] {
     auto* e = new FaultTestEnv();
@@ -228,21 +245,7 @@ FaultTestEnv& Env() {
     e->db = std::move(opened).value();
     for (int i = 0; i < 4; ++i) {
       const std::string camera = "cam" + std::to_string(i);
-      TunnelScenarioOptions scenario_options;
-      scenario_options.total_frames = 700;
-      scenario_options.num_wall_crashes = 1;
-      scenario_options.num_sudden_stops = 1;
-      scenario_options.num_speeding = 0;
-      scenario_options.num_uturns = 0;
-      const ScenarioSpec scenario = MakeTunnelScenario(scenario_options);
-      TrafficWorld world(scenario);
-      const GroundTruth gt = world.Run();
-      ClipInfo info;
-      info.camera_id = camera;
-      info.total_frames = scenario.total_frames;
-      if (!e->db->IngestClip(info, gt.tracks, gt.incidents).ok()) {
-        std::abort();
-      }
+      IngestTunnelCamera(e->db.get(), camera);
       e->cameras.push_back(camera);
     }
     return e;
@@ -555,10 +558,27 @@ TEST(CoordinatorFaultTest, MultiRankDegradesWhenACameraLosesAllReplicas) {
   // way to strand the dead worker's cameras.
   FaultFleet fleet(2, /*replication=*/1, /*rpc_deadline_ms=*/2000,
                    /*max_sessions=*/4);
+  // Placement hashes the workers' ephemeral endpoints, so any fixed set
+  // of camera names may land on one worker. Two of the shared cameras
+  // plus, for each worker, the first "deg<k>" name the ring gives it:
+  // both workers own a camera on every run, and neither owns more than
+  // three (the cap is four sessions).
+  std::vector<std::string> cameras = {Env().cameras[0], Env().cameras[1]};
+  for (size_t worker = 0; worker < 2; ++worker) {
+    for (int k = 0;; ++k) {
+      const std::string name = "deg" + std::to_string(k);
+      if (fleet.OwnerIndices(name, 1) != std::vector<size_t>{worker}) continue;
+      if (Env().db->ClipsForCamera(name).empty()) {
+        IngestTunnelCamera(Env().db.get(), name);
+      }
+      cameras.push_back(name);
+      break;
+    }
+  }
   std::string cameras_json = "[";
-  for (size_t i = 0; i < Env().cameras.size(); ++i) {
+  for (size_t i = 0; i < cameras.size(); ++i) {
     if (i > 0) cameras_json += ',';
-    cameras_json += '"' + Env().cameras[i] + '"';
+    cameras_json += '"' + cameras[i] + '"';
   }
   cameras_json += ']';
   const std::string open_response = fleet.Call(
@@ -567,15 +587,13 @@ TEST(CoordinatorFaultTest, MultiRankDegradesWhenACameraLosesAllReplicas) {
 
   // Which cameras live only on worker 0?
   std::vector<std::string> on_w0, on_w1;
-  for (const std::string& camera : Env().cameras) {
+  for (const std::string& camera : cameras) {
     const std::vector<size_t> owner = fleet.OwnerIndices(camera, 1);
     ASSERT_EQ(owner.size(), 1u);
     (owner[0] == 0 ? on_w0 : on_w1).push_back(camera);
   }
-  if (on_w0.empty() || on_w1.empty()) {
-    GTEST_SKIP() << "ephemeral ports hashed every camera onto one "
-                    "worker; nothing to degrade";
-  }
+  ASSERT_FALSE(on_w0.empty());
+  ASSERT_FALSE(on_w1.empty());
 
   // Fill the survivor (w1) to its cap so it cannot adopt w0's cameras.
   for (size_t i = on_w1.size(); i < 4; ++i) {

@@ -463,6 +463,50 @@ TEST(RendererTest, NoiseMatchesReferenceSampler) {
   }
 }
 
+TEST(RendererTest, NoiseMatchesReferenceSamplerOverRandomLaws) {
+  // 200 laws (offset in [-300, 300], sigma in [0.05, 60]) on a small odd
+  // frame whose shades sit next to both clamps. With amplitude |offset|
+  // and period 4, frames 0-3 have offsets 0, |offset|, ~0 and -|offset|
+  // at the same sigma, as the test's Illumination computes them.
+  RoadLayout layout;
+  layout.width = 67;
+  layout.height = 45;
+  layout.background_shade = 3;
+  layout.road_shade = 252;
+  layout.road_surface = {BBox(0, 10, 66, 30)};
+  layout.walls = {BBox(20, 0, 40, 44)};
+  Rng law(99);
+  int one_split_bucket = 0, low_clamp = 0, high_clamp = 0;
+  for (int n = 0; n < 200; ++n) {
+    RenderOptions ro;
+    // Log-uniform sigma, so that tiny ones (every threshold inside one
+    // guide bucket) come up as often as wide ones; the first law pins
+    // the extremes.
+    const double log_sigma = law.Uniform(std::log(0.05), std::log(60.0));
+    ro.noise_stddev = n == 0 ? 0.05 : std::exp(log_sigma);
+    ro.illumination_amplitude =
+        n == 0 ? 300.0 : std::fabs(law.Uniform(-300.0, 300.0));
+    ro.illumination_period = 4;
+    const double sigma = ro.noise_stddev;
+    one_split_bucket += 18.0 * sigma < 1.0;
+    Renderer renderer(layout, ro);
+    Rng rng(Renderer::kNoiseSeed);
+    for (int f = 0; f < 4; ++f) {
+      const double offset = Illumination(ro, f);
+      low_clamp += offset + 9.0 * sigma < -255.0;
+      high_clamp += offset - 9.0 * sigma > 255.0;
+      std::vector<uint8_t> want = renderer.background().pixels();
+      ReferenceNoise(offset, sigma, &rng, &want);
+      ASSERT_EQ(renderer.Render({}).pixels(), want)
+          << "law " << n << " frame " << f << " offset " << offset
+          << " sigma " << sigma;
+    }
+  }
+  EXPECT_GT(one_split_bucket, 0);
+  EXPECT_GT(low_clamp, 0);
+  EXPECT_GT(high_clamp, 0);
+}
+
 TEST(RendererTest, NoiseFollowsDiscretizedGaussianLaw) {
   // A flat grey scene far from both clamps: byte - 128 is K = floor(offset
   // + sigma * g) for every pixel. Each class count must sit within 5
