@@ -78,7 +78,8 @@ class BackgroundModel {
 
 /// Morphological cleanup of a binary mask: removes isolated pixels and
 /// fills single-pixel holes (3x3 majority filter, `iterations` passes).
-Mask CleanMask(const Mask& mask, int width, int height, int iterations = 1);
+/// Filters `mask` in place and returns it; pass an rvalue to avoid a copy.
+Mask CleanMask(Mask mask, int width, int height, int iterations = 1);
 
 }  // namespace mivid
 

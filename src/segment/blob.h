@@ -26,9 +26,11 @@ struct BlobOptions {
 };
 
 /// Labels connected components of `mask` and returns one Blob per
-/// component that passes the filters. `source` provides intensities for
-/// mean_intensity (pass the original frame).
-std::vector<Blob> ExtractBlobs(const Mask& mask, const Frame& source,
+/// component that passes the filters, in the raster order of each
+/// component's first pixel. `source` provides intensities for
+/// mean_intensity (pass the original frame). The mask is consumed as the
+/// visited marks; pass an rvalue to avoid a copy.
+std::vector<Blob> ExtractBlobs(Mask mask, const Frame& source,
                                const BlobOptions& options = {});
 
 }  // namespace mivid

@@ -15,13 +15,23 @@ SpcpeResult RunSpcpe(const Frame& frame, const Mask* prior, double bg_hint,
   MIVID_TRACE_SPAN("segment/spcpe");
   MIVID_SCOPED_TIMER("segment/spcpe_seconds");
   SpcpeResult result;
-  result.partition.assign(frame.size(), 0);
+  const size_t n = frame.size();
 
-  // Collect the candidate pixel set.
+  // Collect the candidate pixel set, in raster order. With a prior the
+  // partition starts as a copy of it: that is already zero wherever no
+  // candidate is, and every candidate byte is overwritten below. The
+  // candidates are its nonzero bytes.
   std::vector<size_t> candidates;
-  candidates.reserve(frame.size());
-  for (size_t i = 0; i < frame.size(); ++i) {
-    if (prior == nullptr || (*prior)[i] != 0) candidates.push_back(i);
+  if (prior == nullptr) {
+    result.partition.assign(n, 0);
+    candidates.resize(n);
+    for (size_t i = 0; i < n; ++i) candidates[i] = i;
+  } else {
+    result.partition.assign(prior->begin(), prior->begin() + n);
+    const uint8_t* m = prior->data();
+    for (size_t i = NextSet(m, 0, n); i < n; i = NextSet(m, i + 1, n)) {
+      candidates.push_back(i);
+    }
   }
   if (candidates.empty()) {
     result.class_mean[0] = result.class_mean[1] = 0;

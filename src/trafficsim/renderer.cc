@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "obs/trace.h"
 #include "video/draw.h"
@@ -20,8 +21,8 @@ namespace {
 /// [floor(offset - 9 sigma), floor(offset + 9 sigma)], cut to [-255, 255]
 /// where every K beyond gives the same byte; the end classes absorb the
 /// tails. A pixel then costs one 32-bit uniform (half of an Rng::Next()),
-/// a guide-table lookup and a short forward search. No transcendental runs
-/// per pixel.
+/// a guide load that, outside the few buckets a threshold splits, is K
+/// itself, and a clamp-table load. No transcendental runs per pixel.
 void AddSensorNoise(double offset, double sigma, Rng* rng, uint8_t* px,
                     size_t count) {
   const int kmin = static_cast<int>(
@@ -38,22 +39,47 @@ void AddSensorNoise(double offset, double sigma, Rng* rng, uint8_t* px,
         std::llround(0x1p32 * 0.5 * std::erfc(-z * M_SQRT1_2)));
   }
   threshold[last] = uint64_t{1} << 32;
-  // guide[b]: the first class a uniform with top byte b can land in.
-  int guide[256];
-  for (int b = 0, c = 0; b < 256; ++b) {
-    while (threshold[c] <= static_cast<uint64_t>(b) << 24) ++c;
-    guide[b] = c;
+  // guide[b] covers the uniforms whose top 12 bits are b. When no
+  // threshold falls inside that range they all land in one class and the
+  // entry is its K, offset by 255 to index `saturate`; otherwise the entry
+  // is kSplit plus the first class one of them can land in, and a forward
+  // search finishes the pixel.
+  constexpr int kGuideShift = 20;
+  constexpr int kSplit = 1024;  // above every K + 255 in [0, 510]
+  uint16_t guide[1 << (32 - kGuideShift)];
+  for (int b = 0, c = 0; b < (1 << (32 - kGuideShift)); ++b) {
+    const uint64_t first = static_cast<uint64_t>(b) << kGuideShift;
+    while (threshold[c] <= first) ++c;
+    const bool split = threshold[c] < first + (uint64_t{1} << kGuideShift);
+    guide[b] = static_cast<uint16_t>(split ? kSplit + c : kmin + c + 255);
+  }
+  // saturate[p + K + 255] = clamp(p + K, 0, 255).
+  uint8_t saturate[255 + 255 + 255 + 1];
+  for (int v = 0; v <= 3 * 255; ++v) {
+    saturate[v] = static_cast<uint8_t>(std::clamp(v - 255, 0, 255));
   }
   const auto noisy = [&](uint8_t p, uint32_t u) {
-    int c = guide[u >> 24];
-    while (threshold[c] <= u) ++c;
-    return static_cast<uint8_t>(std::clamp(p + kmin + c, 0, 255));
+    int k = guide[u >> kGuideShift];
+    if (k >= kSplit) {
+      int c = k - kSplit;
+      while (threshold[c] <= u) ++c;
+      k = kmin + c + 255;
+    }
+    return saturate[p + k];
   };
-  for (size_t i = 0; i < count; i += 2) {
-    const uint64_t r = rng->Next();
+  // The stream runs on a local copy: byte stores through `px` may alias
+  // *rng, which would force its state through memory on every draw.
+  Rng local = *rng;
+  size_t i = 0;
+  for (; i + 1 < count; i += 2) {
+    const uint64_t r = local.Next();
     px[i] = noisy(px[i], static_cast<uint32_t>(r >> 32));
-    if (i + 1 < count) px[i + 1] = noisy(px[i + 1], static_cast<uint32_t>(r));
+    px[i + 1] = noisy(px[i + 1], static_cast<uint32_t>(r));
   }
+  if (i < count) {
+    px[i] = noisy(px[i], static_cast<uint32_t>(local.Next() >> 32));
+  }
+  *rng = local;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "video/frame.h"
 
 #include <cstdlib>
+#include <cstring>
 
 namespace mivid {
 
@@ -23,6 +24,19 @@ Frame Frame::AbsDiff(const Frame& other) const {
         std::abs(static_cast<int>(pixels_[i]) - static_cast<int>(other.pixels_[i])));
   }
   return out;
+}
+
+size_t NextSet(const uint8_t* mask, size_t begin, size_t end) {
+  size_t i = begin;
+  for (; i + 8 <= end; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, mask + i, sizeof(word));
+    if (word != 0) break;
+  }
+  for (; i < end; ++i) {
+    if (mask[i] != 0) return i;
+  }
+  return end;
 }
 
 }  // namespace mivid

@@ -71,6 +71,11 @@ class Frame {
 /// A binary mask with the same layout as Frame (0 = background, 1 = fg).
 using Mask = std::vector<uint8_t>;
 
+/// The index of the first nonzero byte in mask[begin, end), or `end` when
+/// there is none. Zero 8-byte words are skipped whole, so scanning a
+/// sparse mask costs about one load per eight bytes.
+size_t NextSet(const uint8_t* mask, size_t begin, size_t end);
+
 }  // namespace mivid
 
 #endif  // MIVID_VIDEO_FRAME_H_
