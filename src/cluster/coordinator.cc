@@ -546,8 +546,9 @@ Result<std::string> Coordinator::MirrorSub(CoordSession& session,
   if (!primary.ok()) return primary;
   // Best-effort mirror keeps the other replicas' in-memory session state
   // in sync so rank can be served from any of them. Journaling is
-  // idempotent (full-state rewrite of a shared file), so replaying the
-  // same write on every replica converges instead of duplicating. A
+  // idempotent (each replica appends the same full-state record to the
+  // shared journal, whose last whole record is what resumes), so
+  // replaying the same write on every replica converges. A
   // replica that cannot keep up is dropped from the sub's replica set;
   // the next failover re-places the camera and re-opens it.
   for (size_t i = 1; i < sub.workers.size();) {

@@ -1,7 +1,7 @@
 #include "db/epoch_manifest.h"
 
+#include "common/file_io.h"
 #include "common/string_util.h"
-#include "db/feature_store.h"
 #include "obs/json.h"
 
 namespace mivid {

@@ -31,10 +31,6 @@ std::string SerializeIncidents(const std::vector<IncidentRecord>& incidents);
 Result<std::vector<IncidentRecord>> DeserializeIncidents(
     const std::string& bytes);
 
-/// Whole-file helpers.
-Status WriteFileAtomic(const std::string& path, const std::string& bytes);
-Result<std::string> ReadFileToString(const std::string& path);
-
 }  // namespace mivid
 
 #endif  // MIVID_DB_FEATURE_STORE_H_

@@ -2,8 +2,8 @@
 
 #include <cstring>
 
+#include "common/file_io.h"
 #include "db/codec.h"
-#include "db/feature_store.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MIVID_HAVE_MMAP 1
@@ -71,10 +71,6 @@ Status WritePackedCorpusFile(const CameraCorpus& corpus,
                              const QueryOptions& options) {
   const std::shared_ptr<const PackedCorpus> packed =
       corpus.dataset.EnsurePacked();
-  if (!packed->valid) {
-    return Status::FailedPrecondition(
-        "corpus has mixed instance dimensions; no packed layout to store");
-  }
   const PackedFeatureMatrix& feat = packed->features;
 
   std::string meta;
@@ -281,7 +277,7 @@ Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
       ++next_instance;
       bag.instances.push_back(std::move(inst));
     }
-    corpus->dataset.AddBag(std::move(bag));
+    MIVID_RETURN_IF_ERROR(corpus->dataset.AddBag(std::move(bag)));
   }
   if (next_instance != n) {
     return Status::Corruption(
@@ -328,7 +324,6 @@ Result<std::shared_ptr<const CameraCorpus>> ReadPackedCorpusFile(
   }
   packed->features =
       PackedFeatureMatrix::View(features, n, dim, stride, mapping.keepalive);
-  packed->valid = true;
   corpus->dataset.AdoptPacked(std::move(packed));
   return std::shared_ptr<const CameraCorpus>(std::move(corpus));
 }

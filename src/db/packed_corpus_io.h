@@ -27,9 +27,6 @@
 //   [80,84)  u32 CRC32C(feature block)
 //   [84,88)  u32 CRC32C(metadata)
 //   [88,92)  u32 CRC32C(header [0,88))
-//
-// A snapshot is only written for packable corpora (uniform instance
-// dimension); mixed-dimension corpora keep using the extraction path.
 
 #ifndef MIVID_DB_PACKED_CORPUS_IO_H_
 #define MIVID_DB_PACKED_CORPUS_IO_H_
@@ -48,8 +45,6 @@ namespace mivid {
 uint64_t QueryOptionsFingerprint(const QueryOptions& options);
 
 /// Writes `corpus` as a snapshot at `path` (write-to-temp + rename).
-/// Fails with FailedPrecondition when the corpus has mixed instance
-/// dimensions (no packed layout exists to store).
 Status WritePackedCorpusFile(const CameraCorpus& corpus,
                              const std::string& path,
                              const QueryOptions& options);

@@ -19,8 +19,8 @@ ClipExtraction ExtractClip(const ClipRecord& record,
   return clip;
 }
 
-void AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
-                    CameraCorpus* corpus, int* next_bag_id) {
+Status AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
+                      CameraCorpus* corpus, int* next_bag_id) {
   // Oracle labels from the stored incident annotations.
   GroundTruth gt;
   gt.total_frames = clip.total_frames;
@@ -28,13 +28,15 @@ void AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
   FeedbackOracle oracle(&gt, options.relevant_types);
 
   for (const auto& vs : clip.windows) {
-    const int id = (*next_bag_id)++;
+    const int id = *next_bag_id;
+    MIVID_RETURN_IF_ERROR(corpus->dataset.AddBag(
+        BuildBag(vs, id, clip.scaler, options.features.include_velocity)));
+    ++*next_bag_id;
     corpus->bag_refs[id] =
         CorpusBagRef{clip.clip_id, vs.vs_id, vs.begin_frame, vs.end_frame};
     corpus->truth[id] = oracle.LabelFor(vs);
-    corpus->dataset.AddBag(BuildBag(
-        vs, id, clip.scaler, options.features.include_velocity));
   }
+  return Status::OK();
 }
 
 int NextBagId(const CameraCorpus& corpus) {
@@ -73,8 +75,8 @@ Status QueryEngine::AppendClips(const std::vector<int>& clip_ids,
                                 int* next_bag_id) const {
   for (int clip_id : clip_ids) {
     MIVID_ASSIGN_OR_RETURN(ClipRecord record, db_->LoadClip(clip_id));
-    AppendClipBags(ExtractClip(record, options), options, corpus,
-                   next_bag_id);
+    MIVID_RETURN_IF_ERROR(AppendClipBags(ExtractClip(record, options),
+                                         options, corpus, next_bag_id));
   }
   return Status::OK();
 }

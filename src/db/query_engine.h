@@ -70,9 +70,11 @@ ClipExtraction ExtractClip(const ClipRecord& record,
 /// `*next_bag_id` (advanced past the new bags). The single bag-building
 /// code path shared by batch corpus builds, streaming appends, and
 /// epoch publishes — guaranteeing identical bags regardless of how a
-/// clip reached the corpus.
-void AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
-                    CameraCorpus* corpus, int* next_bag_id);
+/// clip reached the corpus. InvalidArgument (with the corpus keeping the
+/// bags before the refused one) when the clip's instance dimension
+/// differs from the corpus's.
+Status AppendClipBags(const ClipExtraction& clip, const QueryOptions& options,
+                      CameraCorpus* corpus, int* next_bag_id);
 
 /// Bag id the next appended clip should start at (ids are dense).
 int NextBagId(const CameraCorpus& corpus);

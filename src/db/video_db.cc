@@ -1,5 +1,6 @@
 #include "db/video_db.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -11,6 +12,7 @@
 #include <filesystem>
 
 #include "common/fault.h"
+#include "common/file_io.h"
 #include "common/string_util.h"
 #include "svm/model_io.h"
 
@@ -18,6 +20,10 @@ namespace mivid {
 
 namespace {
 constexpr char kCatalogFile[] = "CATALOG";
+// A session journal is compacted to its last record once appending would
+// leave it larger than this many times that record. Records are full
+// snapshots and grow with the labels, so a short session never compacts.
+constexpr size_t kCompactionFactor = 4;
 }  // namespace
 
 Result<std::unique_ptr<VideoDb>> VideoDb::Open(const std::string& path,
@@ -149,23 +155,80 @@ std::string VideoDb::SessionPath(const std::string& name) const {
   return path_ + "/session_" + name + ".rfs";
 }
 
+namespace {
+
+/// Reads all of the open file `fd` into `out`.
+Status ReadAll(int fd, const std::string& path, std::string* out) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return Status::IOError("cannot stat " + path);
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  while (got < out->size()) {
+    const ssize_t n = ::pread(fd, out->data() + got, out->size() - got,
+                              static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return Status::IOError("cannot read " + path);
+    if (n == 0) break;  // truncated since the fstat
+    got += static_cast<size_t>(n);
+  }
+  out->resize(got);
+  return Status::OK();
+}
+
+/// Appends `bytes` to the O_APPEND file `fd`.
+Status WriteAll(int fd, const std::string& path, const std::string& bytes) {
+  size_t put = 0;
+  while (put < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::IOError("short append to " + path);
+    put += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status VideoDb::SaveSession(const std::string& name,
                             const SessionState& state) {
-  std::string bytes = SerializeSessionState(state);
-  // journal.write.torn simulates a crash mid-journal-write: half the
-  // bytes reach a temp file and the process dies before the atomic
-  // rename. The previous journal generation must survive intact — a
-  // failover replays it and the coordinator retries the lost round.
+  const std::string path = SessionPath(name);
+  const std::string record = FrameSessionRecord(state);
+  // Opened per append: replicated workers journal one session over a
+  // shared database in turn, so no handle may hold a stale view of it.
+  const int fd =
+      ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return Status::IOError("cannot open " + path + " for append");
+  std::string journal;
+  Status read = ReadAll(fd, path, &journal);
+  if (!read.ok()) {
+    ::close(fd);
+    return read;
+  }
+  // Append only onto whole records. A torn tail (a writer that died
+  // mid-append), a damaged or pre-journal file, and a journal that would
+  // outgrow kCompactionFactor times this record are all rewritten as
+  // this one record through the atomic temp + rename path instead.
+  const Result<SessionJournalScan> scan = ScanSessionJournal(journal);
+  const bool appendable = scan.ok() && !scan.value().legacy &&
+                          scan.value().whole_bytes == journal.size();
+  if (!appendable ||
+      journal.size() + record.size() > kCompactionFactor * record.size()) {
+    ::close(fd);
+    return WriteFileAtomic(path, record);
+  }
+  // journal.write.torn simulates a crash mid-append: half the record
+  // reaches the journal and the process dies. The reader resumes at the
+  // previous whole record; a failover replays it and the coordinator
+  // retries the lost round.
   if (MIVID_FAULT("journal.write.torn")) {
-    const std::string torn =
-        SessionPath(name) + ".tmp." + std::to_string(::getpid());
-    if (std::FILE* f = std::fopen(torn.c_str(), "wb")) {
-      std::fwrite(bytes.data(), 1, bytes.size() / 2, f);
-      std::fclose(f);
-    }
+    (void)WriteAll(fd, path, record.substr(0, record.size() / 2));
     _exit(134);
   }
-  return WriteFileAtomic(SessionPath(name), bytes);
+  Status appended = WriteAll(fd, path, record);
+  if (::close(fd) != 0 && appended.ok()) {
+    appended = Status::IOError("cannot close " + path);
+  }
+  return appended;
 }
 
 Result<SessionState> VideoDb::LoadSession(const std::string& name) const {
@@ -173,7 +236,7 @@ Result<SessionState> VideoDb::LoadSession(const std::string& name) const {
   if (!bytes.ok()) {
     return Status::NotFound("no session named '" + name + "'");
   }
-  return DeserializeSessionState(bytes.value());
+  return ReadSessionJournal(bytes.value());
 }
 
 std::vector<std::string> VideoDb::ListSessions() const {

@@ -112,30 +112,21 @@ std::vector<ScoredBag> CitationKnnEngine::Rank() const {
   const size_t m = labeled_.size();
   std::vector<std::vector<double>> dist(n, std::vector<double>(m));
   const auto packed = dataset_->EnsurePacked();
-  if (packed->valid) {
-    // Labeled bags point into the dataset, so their packed slice is found
-    // by index.
-    const MilBag* base = dataset_->bags().data();
-    size_t max_count = 0;
-    for (const auto& bag : dataset_->bags()) {
-      max_count = std::max(max_count, bag.instances.size());
-    }
-    std::vector<double> scratch(max_count);
-    for (size_t q = 0; q < n; ++q) {
-      for (size_t l = 0; l < m; ++l) {
-        const size_t li = static_cast<size_t>(labeled_[l] - base);
-        dist[q][l] = PackedBagDistance(
-            dataset_->bag(q), packed->bag_begin[q], *labeled_[l],
-            packed->bag_begin[li], packed->features, options_.distance,
-            scratch.data());
-      }
-    }
-  } else {
-    for (size_t q = 0; q < n; ++q) {
-      for (size_t l = 0; l < m; ++l) {
-        dist[q][l] = BagToBagDistance(dataset_->bag(q), *labeled_[l],
-                                      options_.distance);
-      }
+  // Labeled bags point into the dataset, so their packed slice is found
+  // by index.
+  const MilBag* base = dataset_->bags().data();
+  size_t max_count = 0;
+  for (const auto& bag : dataset_->bags()) {
+    max_count = std::max(max_count, bag.instances.size());
+  }
+  std::vector<double> scratch(max_count);
+  for (size_t q = 0; q < n; ++q) {
+    for (size_t l = 0; l < m; ++l) {
+      const size_t li = static_cast<size_t>(labeled_[l] - base);
+      dist[q][l] = PackedBagDistance(
+          dataset_->bag(q), packed->bag_begin[q], *labeled_[l],
+          packed->bag_begin[li], packed->features, options_.distance,
+          scratch.data());
     }
   }
 

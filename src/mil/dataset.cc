@@ -1,5 +1,6 @@
 #include "mil/dataset.h"
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace mivid {
@@ -24,9 +25,30 @@ MilDataset MilDataset::FromVideoSequences(
     bool include_velocity) {
   MilDataset ds;
   for (const auto& vs : windows) {
-    ds.AddBag(BuildBag(vs, vs.vs_id, scaler, include_velocity));
+    // Every TS spans the slicer's window through one scaler, so all
+    // instances share one dimension unless the windows mix slicers.
+    const Status added =
+        ds.AddBag(BuildBag(vs, vs.vs_id, scaler, include_velocity));
+    MIVID_CHECK(added.ok()) << added.ToString();
   }
   return ds;
+}
+
+Status MilDataset::AddBag(MilBag bag) {
+  std::optional<size_t> dim = dim_;
+  for (const MilInstance& inst : bag.instances) {
+    if (!dim) {
+      dim = inst.features.size();
+    } else if (inst.features.size() != *dim) {
+      return Status::InvalidArgument(StrFormat(
+          "bag %d instance %d has %zu features; the corpus has %zu", bag.id,
+          inst.instance_id, inst.features.size(), *dim));
+    }
+  }
+  dim_ = dim;
+  bags_.push_back(std::move(bag));
+  packed_.reset();  // the cached SoA lowering no longer matches
+  return Status::OK();
 }
 
 const MilBag* MilDataset::FindBag(int bag_id) const {

@@ -4,6 +4,7 @@
 #define MIVID_MIL_DATASET_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -32,10 +33,11 @@ class MilDataset {
       const std::vector<VideoSequence>& windows, const FeatureScaler& scaler,
       bool include_velocity);
 
-  void AddBag(MilBag bag) {
-    bags_.push_back(std::move(bag));
-    packed_.reset();  // the cached SoA lowering no longer matches
-  }
+  /// Adds `bag`. Every instance in a dataset has one feature dimension,
+  /// fixed by the first instance added, so the corpus always packs into
+  /// one SoA block; a bag with another dimension is InvalidArgument and
+  /// leaves the dataset unchanged.
+  Status AddBag(MilBag bag);
 
   size_t size() const { return bags_.size(); }
   const MilBag& bag(size_t i) const { return bags_[i]; }
@@ -62,8 +64,7 @@ class MilDataset {
   /// The SoA lowering of all instance features, built on first use and
   /// cached until AddBag invalidates it. Datasets are copied per session
   /// (the bags are identical), so copies share one packed corpus via the
-  /// shared_ptr. Returns a corpus with valid == false when instance
-  /// dimensions are mixed; callers then use the per-Vec paths.
+  /// shared_ptr.
   std::shared_ptr<const PackedCorpus> EnsurePacked() const {
     if (!packed_) packed_ = BuildPackedCorpus(bags_);
     return packed_;
@@ -77,6 +78,8 @@ class MilDataset {
 
  private:
   std::vector<MilBag> bags_;
+  /// The instances' feature dimension; unset until an instance is added.
+  std::optional<size_t> dim_;
   /// Mutable: lowering the bags is a cache fill, not an observable state
   /// change; engines holding a `const MilDataset*` still need it.
   mutable std::shared_ptr<const PackedCorpus> packed_;

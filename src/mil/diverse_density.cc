@@ -41,21 +41,14 @@ double DiverseDensityEngine::LogDd(
   const auto packed = dataset_->EnsurePacked();
   std::vector<double> d2, p;
   const MilBag* base = dataset_->bags().data();
-  // Likelihoods per bag: one SIMD row when the corpus packs, the pointwise
-  // form otherwise; the log folds below see identical values either way.
+  // Likelihoods per bag: one SIMD row over the packed corpus.
   auto likelihoods = [&](const MilBag* bag) -> const double* {
     const size_t count = bag->instances.size();
     d2.resize(count);
     p.resize(count);
-    if (packed->valid) {
-      const size_t bi = static_cast<size_t>(bag - base);
-      InstancePRow(t, options_.scale, packed->features,
-                   packed->bag_begin[bi], count, d2.data(), p.data());
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        p[i] = InstanceP(bag->instances[i].features, t, options_.scale);
-      }
-    }
+    const size_t bi = static_cast<size_t>(bag - base);
+    InstancePRow(t, options_.scale, packed->features, packed->bag_begin[bi],
+                 count, d2.data(), p.data());
     return p.data();
   };
   double log_dd = 0.0;
@@ -226,19 +219,12 @@ std::vector<ScoredBag> DiverseDensityEngine::Rank() const {
   for (size_t b = 0; b < dataset_->size(); ++b) {
     const MilBag& bag = dataset_->bag(b);
     double best = 0.0;
-    if (packed->valid) {
-      const size_t count = bag.instances.size();
-      d2.resize(count);
-      p.resize(count);
-      InstancePRow(*concept_, options_.scale, packed->features,
-                   packed->bag_begin[b], count, d2.data(), p.data());
-      for (size_t i = 0; i < count; ++i) best = std::max(best, p[i]);
-    } else {
-      for (const auto& inst : bag.instances) {
-        best = std::max(best, InstanceP(inst.features, *concept_,
-                                        options_.scale));
-      }
-    }
+    const size_t count = bag.instances.size();
+    d2.resize(count);
+    p.resize(count);
+    InstancePRow(*concept_, options_.scale, packed->features,
+                 packed->bag_begin[b], count, d2.data(), p.data());
+    for (size_t i = 0; i < count; ++i) best = std::max(best, p[i]);
     ranking.push_back({bag.id, best});
   }
   std::stable_sort(ranking.begin(), ranking.end(),

@@ -8,23 +8,12 @@ std::shared_ptr<const PackedCorpus> BuildPackedCorpus(
   corpus->bag_begin.assign(1, 0);
   corpus->bag_begin.reserve(bags.size() + 1);
   std::vector<const Vec*> instances;
-  size_t dim = 0;
-  bool uniform = true;
   for (const auto& bag : bags) {
-    for (const auto& inst : bag.instances) {
-      if (instances.empty()) {
-        dim = inst.features.size();
-      } else if (inst.features.size() != dim) {
-        uniform = false;
-      }
-      instances.push_back(&inst.features);
-    }
+    for (const auto& inst : bag.instances) instances.push_back(&inst.features);
     corpus->bag_begin.push_back(instances.size());
   }
-  if (uniform) {
-    corpus->features = PackedFeatureMatrix::FromPoints(instances, dim);
-    corpus->valid = true;
-  }
+  const size_t dim = instances.empty() ? 0 : instances[0]->size();
+  corpus->features = PackedFeatureMatrix::FromPoints(instances, dim);
   return corpus;
 }
 

@@ -6,10 +6,9 @@
 // bag order) plus per-bag offsets, and every ranking pass streams the
 // packed block through the SIMD batch primitives instead. The packing is
 // pure layout: feature values are copied verbatim, so scores computed
-// from the packed view are bit-identical to the per-Vec path.
-//
-// A corpus with mixed feature dimensions cannot be packed; `valid` stays
-// false and consumers fall back to the Vec-at-a-time code path.
+// from the packed view are bit-identical to the per-Vec path. Every
+// corpus packs: MilDataset::AddBag refuses a bag whose instances differ
+// in dimension from the corpus.
 
 #ifndef MIVID_MIL_PACKED_CORPUS_H_
 #define MIVID_MIL_PACKED_CORPUS_H_
@@ -28,12 +27,10 @@ struct PackedCorpus {
   /// bag_begin[b] .. bag_begin[b+1] are bag b's columns in `features`
   /// (size = bag count + 1).
   std::vector<size_t> bag_begin;
-  /// False when the corpus could not be packed (mixed dimensions).
-  bool valid = false;
 };
 
-/// Lowers `bags` into a packed corpus. The result is valid iff every
-/// instance shares one feature dimension (an empty corpus is valid).
+/// Lowers `bags`, whose instances all share one feature dimension, into
+/// a packed corpus.
 std::shared_ptr<const PackedCorpus> BuildPackedCorpus(
     const std::vector<MilBag>& bags);
 

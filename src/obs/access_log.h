@@ -2,7 +2,7 @@
 //
 // Workers and the coordinator append one JSON line per request with the
 // full latency breakdown (queue wait, corpus load, rank, merge,
-// serialize), the session/camera/engine identity, byte counts, status,
+// serialize, journal), the session/camera/engine identity, byte counts, status,
 // and the distributed trace id — enough to answer "where did this slow
 // multi-camera query spend its time?" from the log alone. Requests
 // slower than a threshold (MIVID_SLOW_QUERY_MS or an explicit option)
@@ -52,6 +52,7 @@ struct RequestAudit {
   double rank_ms = 0.0;       ///< engine ranking
   double merge_ms = 0.0;      ///< coordinator k-way merge
   double serialize_ms = 0.0;  ///< response building
+  double journal_ms = 0.0;    ///< session journal append (feedback, save)
   bool snapshot_hit = false;  ///< corpus came from an mmap snapshot
 };
 

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/ascii_plot.h"
+#include "common/file_io.h"
 #include "common/string_util.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -29,25 +30,6 @@ std::string HistogramJson(const HistogramStats& h) {
       JsonNumber(h.min).c_str(), JsonNumber(h.max).c_str(),
       JsonNumber(h.mean()).c_str(), JsonNumber(h.p50).c_str(),
       JsonNumber(h.p95).c_str(), JsonNumber(h.p99).c_str());
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError(StrFormat("cannot open %s", tmp.c_str()));
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = written == content.size() && std::fclose(f) == 0;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError(StrFormat("short write to %s", tmp.c_str()));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError(StrFormat("cannot rename %s", path.c_str()));
-  }
-  return Status::OK();
 }
 
 }  // namespace

@@ -202,33 +202,17 @@ std::vector<ScoredBag> MilRfEngine::Rank() const {
   std::vector<ScoredBag> ranking;
   if (!model_) return ranking;
 
-  // Score every instance of every bag in one batch, then take per-bag
-  // maxima. The corpus's cached SoA lowering feeds the SIMD batch
-  // path directly; a corpus with mixed instance dimensions falls back to
-  // flattening Vec pointers (DecisionValues then evaluates pointwise).
+  // Score every instance of every bag in one batch over the corpus's
+  // cached SoA lowering, then take per-bag maxima.
   const std::vector<MilBag>& bags = dataset_->bags();
   const std::shared_ptr<const PackedCorpus> packed = dataset_->EnsurePacked();
-  std::vector<double> values;
-  const std::vector<size_t>* bag_begin = nullptr;
-  std::vector<size_t> fallback_begin;
-  if (packed->valid) {
-    values = model_->DecisionValues(packed->features);
-    bag_begin = &packed->bag_begin;
-  } else {
-    std::vector<const Vec*> instances;
-    fallback_begin.assign(1, 0);
-    for (const auto& bag : bags) {
-      for (const auto& inst : bag.instances) instances.push_back(&inst.features);
-      fallback_begin.push_back(instances.size());
-    }
-    values = model_->DecisionValues(instances);
-    bag_begin = &fallback_begin;
-  }
+  const std::vector<double> values = model_->DecisionValues(packed->features);
+  const std::vector<size_t>& bag_begin = packed->bag_begin;
 
   ranking.reserve(bags.size());
   for (size_t b = 0; b < bags.size(); ++b) {
     double best = -1e18;
-    for (size_t q = (*bag_begin)[b]; q < (*bag_begin)[b + 1]; ++q) {
+    for (size_t q = bag_begin[b]; q < bag_begin[b + 1]; ++q) {
       best = std::max(best, values[q]);
     }
     ranking.push_back({bags[b].id, best});

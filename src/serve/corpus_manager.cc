@@ -15,11 +15,15 @@ namespace mivid {
 namespace {
 
 /// Appends every bag of `from` into `to` (ids kept as stored — segment
-/// bag ids are already global).
-void AppendCorpusBags(const CameraCorpus& from, CameraCorpus* to) {
-  for (const MilBag& bag : from.dataset.bags()) to->dataset.AddBag(bag);
+/// bag ids are already global). InvalidArgument when the two corpora's
+/// instance dimensions differ.
+Status AppendCorpusBags(const CameraCorpus& from, CameraCorpus* to) {
+  for (const MilBag& bag : from.dataset.bags()) {
+    MIVID_RETURN_IF_ERROR(to->dataset.AddBag(bag));
+  }
   to->bag_refs.insert(from.bag_refs.begin(), from.bag_refs.end());
   to->truth.insert(from.truth.begin(), from.truth.end());
+  return Status::OK();
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point t) {
@@ -144,17 +148,19 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
           }
           parts.push_back(std::move(part).value());
         }
-        if (good && !parts.empty()) {
-          if (parts.size() == 1) {
-            corpus = parts[0];  // common case: zero-copy mmap adoption
-          } else {
-            auto merged = std::make_shared<CameraCorpus>();
-            merged->camera_id = camera_id;
-            for (const auto& part : parts) {
-              AppendCorpusBags(*part, merged.get());
-            }
-            corpus = merged;
+        if (good && parts.size() > 1) {
+          // Segments that disagree on the instance dimension cannot be
+          // one corpus; extract the clips instead.
+          auto merged = std::make_shared<CameraCorpus>();
+          merged->camera_id = camera_id;
+          for (const auto& part : parts) {
+            good = good && AppendCorpusBags(*part, merged.get()).ok();
           }
+          if (good) corpus = merged;
+        } else if (good && !parts.empty()) {
+          corpus = parts[0];  // common case: zero-copy mmap adoption
+        }
+        if (corpus != nullptr) {
           epoch_id = manifest.value().epoch;
           out.segments = manifest.value().segments;
           out.included.insert(covered.begin(), covered.end());
@@ -183,7 +189,7 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
     built->camera_id = camera_id;
     int next_bag_id = 0;
     if (corpus != nullptr) {
-      AppendCorpusBags(*corpus, built.get());
+      MIVID_RETURN_IF_ERROR(AppendCorpusBags(*corpus, built.get()));
       next_bag_id = NextBagId(*built);
       ++epoch_id;  // restored epoch + fresh clips = a new generation
     }
@@ -192,7 +198,7 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
     int delta_next = next_bag_id;
     MIVID_RETURN_IF_ERROR(
         engine.AppendClips(missing, query_, &delta, &delta_next));
-    AppendCorpusBags(delta, built.get());
+    MIVID_RETURN_IF_ERROR(AppendCorpusBags(delta, built.get()));
     corpus = built;
     out.included.insert(missing.begin(), missing.end());
 
@@ -309,15 +315,24 @@ Result<std::shared_ptr<const CorpusEpoch>> CorpusManager::Publish(
   delta.camera_id = camera_id;
   int next_bag_id = NextBagId(*base->corpus);
   std::vector<int> delta_clips;
-  for (const ClipExtraction& clip : staged) {
-    delta_clips.push_back(clip.clip_id);
-    AppendClipBags(clip, query_, &delta, &next_bag_id);
-  }
-
   auto merged = std::make_shared<CameraCorpus>();
   merged->camera_id = camera_id;
-  AppendCorpusBags(*base->corpus, merged.get());
-  AppendCorpusBags(delta, merged.get());
+  Status built = Status::OK();
+  for (const ClipExtraction& clip : staged) {
+    delta_clips.push_back(clip.clip_id);
+    if (built.ok()) built = AppendClipBags(clip, query_, &delta, &next_bag_id);
+  }
+  if (built.ok()) built = AppendCorpusBags(*base->corpus, merged.get());
+  if (built.ok()) built = AppendCorpusBags(delta, merged.get());
+  if (!built.ok()) {
+    // Clips whose instances do not match the corpus can never publish:
+    // drop them and let the next publisher in.
+    lock.lock();
+    states_[camera_id].publishing = false;
+    lock.unlock();
+    changed_.notify_all();
+    return built;
+  }
 
   auto epoch = std::make_shared<CorpusEpoch>();
   epoch->camera_id = camera_id;

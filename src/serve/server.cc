@@ -385,7 +385,10 @@ std::string RetrievalServer::CmdFeedback(const ServeRequest& req) {
   }
   // Journal every feedback round: a crash (or eviction) after this point
   // resumes the session at exactly this state.
-  Status journaled = sessions_.Save(s);
+  Status journaled = [&] {
+    AuditPhaseTimer journal_phase(&RequestAudit::journal_ms);
+    return sessions_.Save(s);
+  }();
   if (!journaled.ok()) {
     MIVID_METRIC_COUNT("serve/errors", 1);
     return ErrorResponse(journaled);
@@ -408,7 +411,10 @@ std::string RetrievalServer::CmdSave(const ServeRequest& req) {
   if (!got.ok()) return ErrorResponse(got.status());
   ServeSession& s = *got.value();
   std::lock_guard<std::mutex> lock(s.mu);
-  Status saved = sessions_.Save(s);
+  Status saved = [&] {
+    AuditPhaseTimer journal_phase(&RequestAudit::journal_ms);
+    return sessions_.Save(s);
+  }();
   if (!saved.ok()) return ErrorResponse(saved);
   JsonLineBuilder out;
   out.Bool("ok", true).Str("cmd", "save").Str("session", s.id).Int(

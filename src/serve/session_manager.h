@@ -6,11 +6,14 @@
 // on distinct sessions never contend while two clients sharing a session
 // see a consistent feedback/rank order.
 //
-// Persistence is journal-based and crash-safe: every feedback round is
-// written to the database as a SessionState under "serve_<id>" (atomic
-// write-to-temp + rename). Opening a session whose journal exists — after
-// an eviction, a clean restart, or a crash — rebuilds it by replaying the
-// journaled labels, reproducing the exact ranking the client last saw.
+// Persistence is journal-based and crash-safe: every feedback round
+// appends the session's full SessionState to its journal "serve_<id>"
+// before the reply goes out (one O_APPEND write; a journal grown past
+// four times its last record is compacted to that record through an
+// atomic temp + rename). Opening a session whose journal exists — after
+// an eviction, a clean restart, or a crash — rebuilds it from the last
+// whole record, reproducing the exact ranking the client last saw; a
+// record torn by a crash mid-append costs only that round.
 
 #ifndef MIVID_SERVE_SESSION_MANAGER_H_
 #define MIVID_SERVE_SESSION_MANAGER_H_

@@ -30,33 +30,6 @@ double OneClassSvmModel::DecisionValue(const Vec& x) const {
 }
 
 std::vector<double> OneClassSvmModel::DecisionValues(
-    const std::vector<const Vec*>& xs) const {
-  const size_t dim = !support_vectors_.empty() ? support_vectors_[0].size()
-                     : (xs.empty() ? 0 : xs[0]->size());
-  bool uniform = true;
-  for (const Vec* x : xs) {
-    if (x->size() != dim) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform && !xs.empty()) {
-    return DecisionValues(PackedFeatureMatrix::FromPoints(xs, dim));
-  }
-  // Mixed dimensions cannot be packed; evaluate pointwise.
-  const PreparedKernel kernel(kernel_);
-  std::vector<double> values(xs.size());
-  for (size_t q = 0; q < xs.size(); ++q) {
-    double acc = 0.0;
-    for (size_t i = 0; i < support_vectors_.size(); ++i) {
-      acc += coefficients_[i] * kernel.Eval(support_vectors_[i], *xs[q]);
-    }
-    values[q] = acc - rho_;
-  }
-  return values;
-}
-
-std::vector<double> OneClassSvmModel::DecisionValues(
     const PackedFeatureMatrix& xs) const {
   std::vector<double> values(xs.n());
   if (xs.n() == 0) return values;

@@ -40,16 +40,10 @@ class OneClassSvmModel {
   /// Positive inside the learned support region.
   double DecisionValue(const Vec& x) const;
 
-  /// Decision values for a batch of points. Each value is computed
-  /// exactly as DecisionValue would (same accumulation order).
-  /// Uniform-dimension batches are packed and routed through the SIMD
-  /// batch path below; mixed dimensions fall back to pointwise Eval.
-  std::vector<double> DecisionValues(const std::vector<const Vec*>& xs) const;
-
-  /// SIMD batch path over an already-packed SoA point block (one support
-  /// vector streamed across all points per pass). Bit-identical to
-  /// calling DecisionValue on each point. `xs.dim()` must match the
-  /// support vectors' dimension.
+  /// Decision values for a batch of points, over a packed SoA block (one
+  /// support vector streamed across all points per pass). Bit-identical
+  /// to calling DecisionValue on each point (same accumulation order).
+  /// `xs.dim()` must match the support vectors' dimension.
   std::vector<double> DecisionValues(const PackedFeatureMatrix& xs) const;
 
   /// Hard membership: DecisionValue(x) >= 0.

@@ -203,6 +203,7 @@ TEST(AccessLogTest, FormatRoundTripsThroughJsonParser) {
   record.audit.rank_ms = 8.0;
   record.audit.merge_ms = 2.0;
   record.audit.serialize_ms = 0.75;
+  record.audit.journal_ms = 0.125;
   record.audit.snapshot_hit = true;
 
   const JsonValue doc = Parse(FormatAccessRecord(record, 1754600000123, true));
@@ -227,6 +228,7 @@ TEST(AccessLogTest, FormatRoundTripsThroughJsonParser) {
   EXPECT_EQ(doc.Find("rank_ms")->number, 8.0);
   EXPECT_EQ(doc.Find("merge_ms")->number, 2.0);
   EXPECT_EQ(doc.Find("serialize_ms")->number, 0.75);
+  EXPECT_EQ(doc.Find("journal_ms")->number, 0.125);
   EXPECT_TRUE(doc.Find("snapshot_hit")->bool_value);
   EXPECT_TRUE(doc.Find("slow")->bool_value);
 }
@@ -270,7 +272,7 @@ TEST(AccessLogTest, RotationKeepsEveryLineWellFormed) {
   AccessLog::Options options;
   options.path = dir.path() + "/access.log";
   options.slow_threshold_ms = 1e9;  // nothing is slow
-  options.rotate_bytes = 600;       // a couple of lines per file
+  options.rotate_bytes = 1000;      // a couple of lines per file
   ASSERT_TRUE(log.Open(options).ok());
 
   AccessRecord record;

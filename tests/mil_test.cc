@@ -44,6 +44,33 @@ TEST(MilDatasetTest, AddFindCount) {
   EXPECT_EQ(ds.FindBag(99), nullptr);
 }
 
+TEST(MilDatasetTest, MixedDimensionCorpusIsRefused) {
+  // A bag without instances fixes no dimension; the first instance does.
+  MilDataset ds;
+  MilBag empty;
+  empty.id = 1;
+  ASSERT_TRUE(ds.AddBag(empty).ok());
+  ASSERT_TRUE(ds.AddBag(MakeBag(2, 2)).ok());
+  const size_t dim = ds.bag(1).instances[0].features.size();
+
+  // Longer and shorter points than the corpus's are both refused, even
+  // when only one instance of the bag differs.
+  for (const size_t wrong : {dim + 1, dim - 1}) {
+    MilBag odd = MakeBag(3, 2);
+    odd.instances[1].features.resize(wrong, 0.5);
+    const Status refused = ds.AddBag(odd);
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  }
+  EXPECT_EQ(ds.size(), 2u);
+  EXPECT_EQ(ds.FindBag(3), nullptr);
+
+  // The corpus stays whole: it packs and a matching bag still enters.
+  ASSERT_TRUE(ds.AddBag(MakeBag(3, 1)).ok());
+  const auto packed = ds.EnsurePacked();
+  EXPECT_EQ(packed->features.n(), 3u);
+  EXPECT_EQ(packed->features.dim(), dim);
+}
+
 TEST(MilDatasetTest, LabelLifecycle) {
   MilDataset ds;
   ds.AddBag(MakeBag(1, 1));

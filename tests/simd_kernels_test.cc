@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "db/packed_corpus_io.h"
 #include "fnv1a.h"
@@ -275,7 +276,7 @@ TEST(PackedMatrixTest, LayoutNormsAndRoundTrip) {
   }
 }
 
-TEST(PackedCorpusTest, BagOffsetsAndMixedDimFallback) {
+TEST(PackedCorpusTest, BagOffsetsAndMixedDimRefused) {
   MilDataset ds;
   for (int b = 0; b < 3; ++b) {
     MilBag bag;
@@ -288,24 +289,35 @@ TEST(PackedCorpusTest, BagOffsetsAndMixedDimFallback) {
       inst.raw_features = inst.features;
       bag.instances.push_back(std::move(inst));
     }
-    ds.AddBag(std::move(bag));
+    ASSERT_TRUE(ds.AddBag(std::move(bag)).ok());
   }
   const auto packed = ds.EnsurePacked();
-  ASSERT_TRUE(packed->valid);
   EXPECT_EQ(packed->features.n(), 6u);
+  EXPECT_EQ(packed->features.dim(), 3u);
   EXPECT_EQ(packed->bag_begin, (std::vector<size_t>{0, 1, 3, 6}));
   // The cache is shared until the corpus changes.
   EXPECT_EQ(ds.EnsurePacked().get(), packed.get());
 
+  // A bag of another dimension is refused and leaves the corpus, and its
+  // cached packing, as they were.
   MilBag odd;
   odd.id = 3;
   MilInstance inst;
   inst.features = {1.0, 2.0};  // different dimension
   odd.instances.push_back(std::move(inst));
-  ds.AddBag(std::move(odd));
+  EXPECT_TRUE(ds.AddBag(std::move(odd)).IsInvalidArgument());
+  EXPECT_EQ(ds.size(), 3u);
+  EXPECT_EQ(ds.EnsurePacked().get(), packed.get());
+
+  // A bag that is uniform with the corpus still enters and repacks.
+  MilBag more;
+  more.id = 4;
+  more.instances.resize(2);
+  for (auto& i : more.instances) i.features = {0.4, 0.5, 0.6};
+  EXPECT_TRUE(ds.AddBag(std::move(more)).ok());
   const auto repacked = ds.EnsurePacked();
   EXPECT_NE(repacked.get(), packed.get());
-  EXPECT_FALSE(repacked->valid);
+  EXPECT_EQ(repacked->bag_begin, (std::vector<size_t>{0, 1, 3, 6, 8}));
 }
 
 /// Synthetic labeled corpus with planted "incident" bags (mirrors the
@@ -469,28 +481,6 @@ TEST(SimdKernelsTest, PackedDecisionValuesPinned) {
   pin(KernelType::kPoly, 0xc3af361098f357baULL);
 }
 
-TEST(SimdKernelsTest, MixedDimensionDecisionValuesPinned) {
-#ifndef NDEBUG
-  GTEST_SKIP() << "a point longer than the support vectors trips the "
-                  "kernel's dimension assert";
-#endif
-  // One query point carries an extra trailing feature, so the batch
-  // cannot be packed and every point is evaluated pointwise; the kernel
-  // reads the support vectors' leading `dim` features of each point.
-  const auto train = RandomPoints(40, 9, 5);
-  auto queries = RandomPoints(200, 9, 6);
-  queries[17].push_back(3.0);
-  std::vector<const Vec*> ptrs;
-  for (const auto& q : queries) ptrs.push_back(&q);
-  ExpectPinnedOnEveryTier(0xc92e1d60a242cdc9ULL, [&] {
-    auto model = OneClassSvmTrainer(OneClassSvmOptions{}).Train(train);
-    EXPECT_TRUE(model.ok());
-    Fnv1a h;
-    for (const double v : model->DecisionValues(ptrs)) h.Double(v);
-    return h.value();
-  });
-}
-
 TEST(SimdKernelsTest, SpcpePinned) {
   // A rendered tunnel frame after 150 frames of background learning.
   // Without a prior all 76 800 pixels are candidates; with the
@@ -584,9 +574,8 @@ TEST(PackedCorpusIoTest, SnapshotRoundTripsAndIsAdoptedZeroCopy) {
   // The restored dataset already carries the mapped packing, and it is
   // bit-identical to packing the restored bags from scratch.
   const auto adopted = got.dataset.EnsurePacked();
-  ASSERT_TRUE(adopted->valid);
   const auto rebuilt = BuildPackedCorpus(got.dataset.bags());
-  ASSERT_TRUE(rebuilt->valid);
+  ASSERT_EQ(adopted->features.dim(), rebuilt->features.dim());
   ASSERT_EQ(adopted->features.n(), rebuilt->features.n());
   EXPECT_EQ(adopted->bag_begin, rebuilt->bag_begin);
   for (size_t k = 0; k < adopted->features.dim(); ++k) {

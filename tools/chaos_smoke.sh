@@ -21,9 +21,10 @@
 #      fail over to the remaining worker, and return baseline bytes
 #      within the budget.
 #   4. Torn journal: a worker crashes halfway through a feedback
-#      journal write (journal.write.torn). The atomic journal must keep
-#      the previous round intact, the coordinator must replay it on a
-#      survivor and transparently retry the feedback — the final
+#      journal append (journal.write.torn). The reader must treat the
+#      torn record as the tail and resume at the last whole one (here
+#      none: the session opens fresh), the coordinator must replay it on
+#      a survivor and transparently retry the feedback — the final
 #      ranking matches the no-crash baseline bit-for-bit.
 #
 # usage: tools/chaos_smoke.sh <build-dir> [work-dir]
@@ -370,9 +371,10 @@ MIVID_METRICS=1 "$CLI" coord "$S4_SOCK" \
 PIDS+=("$!")
 wait_for_socket "$S4_SOCK"
 
-# Find cam2's home worker, then restart it with every journal write torn
-# (half the bytes hit the temp file, then the process dies — the rename
-# never happens, so the on-disk journal keeps the previous round).
+# Find cam2's home worker, then restart it with every journal append torn
+# (half the record reaches the journal, then the process dies — the
+# reader skips the torn tail, so the journal still reads as the previous
+# round).
 "$CLIENT" "$S4_SOCK" '{"cmd":"stats"}' >"$WORK_DIR/s4_stats0.json"
 "$CLIENT" "$S4_SOCK" '{"cmd":"open","session":"s4probe","camera":"cam2"}' >/dev/null
 "$CLIENT" "$S4_SOCK" '{"cmd":"stats"}' >"$WORK_DIR/s4_stats1.json"
@@ -390,10 +392,10 @@ PIDS+=("$!")
 wait_workers_alive "$S4_SOCK" 2
 
 solo_baseline cam2 torn1 s4
-# The feedback call crashes the home worker mid-journal-write. The
-# coordinator must fail over, replay the intact pre-feedback journal on
-# the survivor, retry the feedback there, and answer with the same bytes
-# a healthy fleet would have produced.
+# The feedback call crashes the home worker mid-journal-append. The
+# coordinator must fail over, replay the journal's last whole record (none
+# yet: the session opens fresh) on the survivor, retry the feedback there,
+# and answer with the same bytes a healthy fleet would have produced.
 "$CLIENT" "$S4_SOCK" <<'EOF' >"$WORK_DIR/s4_fleet_conv.out"
 {"cmd":"open","session":"torn1","camera":"cam2"}
 {"cmd":"feedback","session":"torn1","labels":[{"bag":0,"label":"relevant"},{"bag":1,"label":"irrelevant"}]}
