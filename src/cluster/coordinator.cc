@@ -741,6 +741,7 @@ Result<std::vector<JsonValue>> Coordinator::FanOut(
     CoordSession& session, ServeCmd cmd,
     const std::function<std::string(const SubSession&)>& line_for,
     const Deadline& deadline) {
+  AuditPhaseTimer fanout_phase(&RequestAudit::fanout_ms);
   std::vector<JsonValue> replies(session.subs.size());
   for (size_t i = 0; i < session.subs.size(); ++i) {
     SubSession& sub = session.subs[i];
@@ -785,6 +786,7 @@ std::string Coordinator::MultiRank(const ServeRequest& req,
     // fan-out lines are stamped with it, so per-worker rank spans nest
     // under coord/scatter in the stitched timeline.
     RequestChildSpan scatter_span("coord/scatter");
+    AuditPhaseTimer fanout_phase(&RequestAudit::fanout_ms);
     std::vector<std::future<Result<std::string>>> futures;
     futures.reserve(session.subs.size());
     for (SubSession& sub : session.subs) {

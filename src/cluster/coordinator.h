@@ -191,7 +191,8 @@ class Coordinator {
   /// MirrorSub (built right before its send, so a stamped budget is
   /// current). Returns the parsed replies, index-aligned with the subs
   /// (null for skipped subs), or the first failure: the transport
-  /// status, or "<cmd> on camera '<cam>' failed: ...".
+  /// status, or "<cmd> on camera '<cam>' failed: ...". Its wall time is
+  /// the request's audited `fanout_ms`.
   Result<std::vector<JsonValue>> FanOut(
       CoordSession& session, ServeCmd cmd,
       const std::function<std::string(const SubSession&)>& line_for,

@@ -65,9 +65,9 @@ std::string FormatAccessRecord(const AccessRecord& record, int64_t wall_ms,
       "\"session\":\"%s\",\"engine\":\"%s\",\"status\":\"%s\","
       "\"trace\":\"%s\",\"cameras\":%s,\"bytes_in\":%llu,"
       "\"bytes_out\":%llu,\"total_ms\":%.3f,\"queue_ms\":%.3f,"
-      "\"corpus_ms\":%.3f,\"rank_ms\":%.3f,\"merge_ms\":%.3f,"
-      "\"serialize_ms\":%.3f,\"journal_ms\":%.3f,\"snapshot_hit\":%s,"
-      "\"slow\":%s}",
+      "\"corpus_ms\":%.3f,\"rank_ms\":%.3f,\"fanout_ms\":%.3f,"
+      "\"merge_ms\":%.3f,\"serialize_ms\":%.3f,\"journal_ms\":%.3f,"
+      "\"snapshot_hit\":%s,\"slow\":%s}",
       static_cast<long long>(wall_ms), JsonEscape(record.role).c_str(),
       JsonEscape(record.node).c_str(), JsonEscape(record.cmd).c_str(),
       JsonEscape(record.session).c_str(), JsonEscape(record.engine).c_str(),
@@ -75,7 +75,8 @@ std::string FormatAccessRecord(const AccessRecord& record, int64_t wall_ms,
       cameras.c_str(), static_cast<unsigned long long>(record.bytes_in),
       static_cast<unsigned long long>(record.bytes_out), record.total_ms,
       record.audit.queue_ms, record.audit.corpus_ms, record.audit.rank_ms,
-      record.audit.merge_ms, record.audit.serialize_ms, record.audit.journal_ms,
+      record.audit.fanout_ms, record.audit.merge_ms, record.audit.serialize_ms,
+      record.audit.journal_ms,
       record.audit.snapshot_hit ? "true" : "false", slow ? "true" : "false");
 }
 

@@ -1,10 +1,10 @@
 // Structured per-request access log + slow-query log.
 //
 // Workers and the coordinator append one JSON line per request with the
-// full latency breakdown (queue wait, corpus load, rank, merge,
-// serialize, journal), the session/camera/engine identity, byte counts, status,
-// and the distributed trace id — enough to answer "where did this slow
-// multi-camera query spend its time?" from the log alone. Requests
+// full latency breakdown (queue wait, corpus load, rank, fan-out, merge,
+// serialize, journal), the session/camera/engine identity, byte counts,
+// status, and the distributed trace id — enough to answer "where did this
+// slow multi-camera query spend its time?" from the log alone. Requests
 // slower than a threshold (MIVID_SLOW_QUERY_MS or an explicit option)
 // are additionally appended to a separate slow-query log.
 //
@@ -50,6 +50,8 @@ struct RequestAudit {
   double queue_ms = 0.0;      ///< admission to execution start
   double corpus_ms = 0.0;     ///< corpus load (0 on cache hit)
   double rank_ms = 0.0;       ///< engine ranking
+  double fanout_ms = 0.0;     ///< coordinator: first sub-request sent to
+                              ///< last worker reply taken
   double merge_ms = 0.0;      ///< coordinator k-way merge
   double serialize_ms = 0.0;  ///< response building
   double journal_ms = 0.0;    ///< session journal append (feedback, save)

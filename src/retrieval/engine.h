@@ -36,8 +36,8 @@ struct MilRoundStats {
   /// Fraction of training instances the trained model rejects; Eq. 9
   /// targets this at delta, so the gap measures how well nu was realized.
   double achieved_outlier_fraction = 0.0;
-  uint64_t cache_hits = 0;     ///< kernel-cache hits this round
-  uint64_t cache_misses = 0;
+  uint64_t cache_hits = 0;     ///< always 0; read by the e2ebench harness
+  uint64_t cache_misses = 0;   ///< always 0; read by the e2ebench harness
   double learn_seconds = 0.0;
 };
 

@@ -21,12 +21,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 namespace {
 
-/// A training candidate: the instance vector, its heuristic score, and its
-/// stable identity (the kernel-cache key).
+/// A training candidate: the instance vector and its heuristic score.
 struct TrainingCandidate {
   Vec features;
   double score = 0.0;
-  InstanceKey id;
 };
 
 }  // namespace
@@ -47,8 +45,6 @@ Status MilRfEngine::Learn() {
   MIVID_TRACE_SPAN("mil/learn");
   MIVID_SCOPED_TIMER("mil/learn_seconds");
   const auto learn_start = std::chrono::steady_clock::now();
-  const uint64_t cache_hits_before = kernel_cache_.hits();
-  const uint64_t cache_misses_before = kernel_cache_.misses();
   const std::vector<const MilBag*> relevant =
       dataset_->BagsWithLabel(BagLabel::kRelevant);
   if (relevant.empty()) {
@@ -70,8 +66,7 @@ Status MilRfEngine::Learn() {
       best_score = std::max(best_score, scores.back());
     }
     auto add = [&](size_t i) {
-      candidates.push_back({bag->instances[i].features, scores[i],
-                            {bag->id, bag->instances[i].instance_id}});
+      candidates.push_back({bag->instances[i].features, scores[i]});
     };
     if (options_.policy == TrainingSetPolicy::kAllInstances) {
       for (size_t i = 0; i < scores.size(); ++i) add(i);
@@ -105,13 +100,8 @@ Status MilRfEngine::Learn() {
     if (!kept.empty()) candidates.swap(kept);
   }
   std::vector<Vec> training;
-  std::vector<InstanceKey> training_ids;
   training.reserve(candidates.size());
-  training_ids.reserve(candidates.size());
-  for (auto& c : candidates) {
-    training.push_back(std::move(c.features));
-    training_ids.push_back(c.id);
-  }
+  for (auto& c : candidates) training.push_back(std::move(c.features));
   if (training.empty()) {
     return Status::FailedPrecondition("relevant bags contain no instances");
   }
@@ -135,13 +125,10 @@ Status MilRfEngine::Learn() {
   svm_options.kernel = options_.kernel;
   const bool rbf = svm_options.kernel.type == KernelType::kRbf;
 
-  // RBF sessions reuse pairwise distances across rounds: only the pairs
-  // involving newly labeled instances are computed, the rest are cache
-  // hits. The distances feed both the bandwidth heuristic and the Gram.
+  // RBF rounds compute the training set's pairwise distances once; they
+  // feed both the bandwidth heuristic and the Gram.
   std::optional<Matrix> d2;
-  if (rbf) {
-    d2 = kernel_cache_.PairwiseSquaredDistances(training, training_ids);
-  }
+  if (rbf) d2 = PairwiseSquaredDistances(training);
   if (options_.auto_sigma && rbf && training.size() >= 2) {
     // Median-distance bandwidth heuristic: wide enough to generalize
     // across the relevant cluster, narrow enough to exclude the rest.
@@ -182,8 +169,6 @@ Status MilRfEngine::Learn() {
   stats.support_vectors = model_->num_support_vectors();
   stats.smo_iterations = model_->iterations_used();
   stats.achieved_outlier_fraction = model_->training_outlier_fraction();
-  stats.cache_hits = kernel_cache_.hits() - cache_hits_before;
-  stats.cache_misses = kernel_cache_.misses() - cache_misses_before;
   stats.learn_seconds = SecondsSince(learn_start);
   summary_.rounds.push_back(stats);
 

@@ -19,7 +19,7 @@
 #include "mil/dataset.h"
 #include "retrieval/engine.h"
 #include "retrieval/heuristic.h"
-#include "svm/kernel_cache.h"
+#include "svm/kernel.h"
 #include "svm/one_class_svm.h"
 
 namespace mivid {
@@ -98,10 +98,6 @@ class MilRfEngine : public RetrievalEngine {
  private:
   MilRfOptions options_;
   std::optional<OneClassSvmModel> model_;
-  /// Pairwise-distance cache keyed by (bag_id, instance_id): feedback
-  /// rounds mostly retrain on the same instances, so the Gram blocks that
-  /// did not change between rounds are served from here.
-  KernelCache kernel_cache_;
   /// Mutable: Rank() is logically const but contributes timing totals.
   mutable RunSummary summary_;
   double last_nu_ = 0.0;

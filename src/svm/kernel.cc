@@ -48,6 +48,27 @@ void MirrorLowerTriangle(size_t n, double* data) {
   }
 }
 
+/// The one expanded-distance row loop behind every RBF Gram and every
+/// training-set distance matrix: calls `emit(i, d2)` with the n - i
+/// squared distances from point i to points [i, n), so d2[0] is the
+/// diagonal. One row buffer is reused; no n x n scratch is allocated.
+template <typename Emit>
+void ForEachUpperSquaredDistanceRow(const std::vector<Vec>& points,
+                                    Emit&& emit) {
+  const size_t n = points.size();
+  if (n == 0) return;
+  const PackedFeatureMatrix packed = PackedFeatureMatrix::FromVecs(points);
+  const double* norms = packed.squared_norms();
+  const SimdOpsTable& ops = SimdOps();
+  std::vector<double> buf(n);
+  for (size_t i = 0; i < n; ++i) {
+    ops.expanded_d2_row(points[i].data(), norms[i], packed.dim(),
+                        packed.data() + i, packed.stride(), norms + i, n - i,
+                        buf.data());
+    emit(i, buf.data());
+  }
+}
+
 void RecordGramBuild(size_t n) {
   MIVID_METRIC_COUNT("gram/builds", 1);
   MIVID_METRIC_COUNT("gram/entries", n * n);
@@ -98,14 +119,14 @@ double KernelEval(const KernelParams& params, const Vec& u, const Vec& v) {
   return PreparedKernel(params).Eval(u, v);
 }
 
-// Both constructors build the upper triangle with the SIMD row kernels
-// (row i covers columns [i, n)), then mirror it in a second pass. The
-// mirrored value is the bit the (j, i) computation would have produced:
-// the expanded d2 is symmetric because IEEE addition and multiplication
-// commute and both sides accumulate k in the same serial order. The
-// diagonal needs no special case: u_norm2 and the streamed dot accumulate
-// the same products in the same order, so d2(i,i) is exactly 0.0 and the
-// RBF row maps it to exactly 1.0.
+// Gram matrices and PairwiseSquaredDistances build the upper triangle
+// with the SIMD row kernels (row i covers columns [i, n)), then mirror it
+// in a second pass. The mirrored value is the bit the (j, i) computation
+// would have produced: the expanded d2 is symmetric because IEEE addition
+// and multiplication commute and both sides accumulate k in the same
+// serial order. The diagonal needs no special case: u_norm2 and the
+// streamed dot accumulate the same products in the same order, so d2(i,i)
+// is exactly 0.0 and the RBF row maps it to exactly 1.0.
 GramMatrix::GramMatrix(const KernelParams& params,
                        const std::vector<Vec>& points)
     : n_(points.size()),
@@ -115,30 +136,34 @@ GramMatrix::GramMatrix(const KernelParams& params,
   RecordGramBuild(n_);
   if (n_ == 0) return;
   const PreparedKernel kernel(params);
-  const PackedFeatureMatrix packed = PackedFeatureMatrix::FromVecs(points);
-  const size_t dim = packed.dim();
-  const size_t stride = packed.stride();
-  const double* norms = packed.squared_norms();
   const SimdOpsTable& ops = SimdOps();
-  std::vector<double> buf(n_);
   if (params.type == KernelType::kRbf) {
     const double gamma = kernel.gamma();
-    for (size_t i = 0; i < n_; ++i) {
-      const size_t count = n_ - i;
-      ops.expanded_d2_row(points[i].data(), norms[i], dim, packed.data() + i,
-                          stride, norms + i, count, buf.data());
-      ops.rbf_from_d2_row(gamma, buf.data(), count, &data_[i * n_ + i]);
-    }
+    ForEachUpperSquaredDistanceRow(points, [&](size_t i, const double* d2) {
+      ops.rbf_from_d2_row(gamma, d2, n_ - i, &data_[i * n_ + i]);
+    });
   } else {
+    const PackedFeatureMatrix packed = PackedFeatureMatrix::FromVecs(points);
+    std::vector<double> buf(n_);
     for (size_t i = 0; i < n_; ++i) {
       const size_t count = n_ - i;
-      ops.dot_row(points[i].data(), dim, packed.data() + i, stride, count,
-                  buf.data());
+      ops.dot_row(points[i].data(), packed.dim(), packed.data() + i,
+                  packed.stride(), count, buf.data());
       double* row = &data_[i * n_ + i];
       for (size_t t = 0; t < count; ++t) row[t] = kernel.EvalFromDot(buf[t]);
     }
   }
   MirrorLowerTriangle(n_, data_.get());
+}
+
+Matrix PairwiseSquaredDistances(const std::vector<Vec>& points) {
+  const size_t n = points.size();
+  Matrix d2(n, n);
+  ForEachUpperSquaredDistanceRow(points, [&](size_t i, const double* row) {
+    std::copy_n(row, n - i, d2.data() + i * n + i);
+  });
+  MirrorLowerTriangle(n, d2.data());
+  return d2;
 }
 
 GramMatrix::GramMatrix(const KernelParams& params,

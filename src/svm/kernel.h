@@ -54,6 +54,12 @@ class PreparedKernel {
 /// Evaluates K(u, v) under `params`. Prefer PreparedKernel in loops.
 double KernelEval(const KernelParams& params, const Vec& u, const Vec& v);
 
+/// Symmetric |points| x |points| matrix of squared Euclidean distances,
+/// computed with the same expanded-formula row kernel as the RBF Gram, so
+/// GramMatrix(params, PairwiseSquaredDistances(p)) equals
+/// GramMatrix(params, p) bit for bit. All points must share a dimension.
+Matrix PairwiseSquaredDistances(const std::vector<Vec>& points);
+
 /// Precomputed symmetric kernel (Gram) matrix over a training set.
 ///
 /// The one-class solver touches rows repeatedly; for the training sets of
@@ -62,8 +68,9 @@ class GramMatrix {
  public:
   GramMatrix(const KernelParams& params, const std::vector<Vec>& points);
 
-  /// RBF-only fast path: builds exp(-gamma * d2) from a precomputed
-  /// squared-distance matrix (e.g. a KernelCache product).
+  /// RBF only: builds exp(-gamma * d2) from a precomputed squared-distance
+  /// matrix (PairwiseSquaredDistances), so a caller that needs the
+  /// distances too computes them once.
   GramMatrix(const KernelParams& params, const Matrix& squared_distances);
 
   size_t size() const { return n_; }

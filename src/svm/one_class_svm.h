@@ -85,8 +85,9 @@ class OneClassSvmTrainer {
   Result<OneClassSvmModel> Train(const std::vector<Vec>& points) const;
 
   /// Same, but reuses a precomputed Gram matrix over `points` (e.g. built
-  /// through a KernelCache). `gram.size()` must equal `points.size()` and
-  /// `gram` must have been built with this trainer's kernel params.
+  /// from PairwiseSquaredDistances). `gram.size()` must equal
+  /// `points.size()` and `gram` must have been built with this trainer's
+  /// kernel params.
   Result<OneClassSvmModel> Train(const std::vector<Vec>& points,
                                  const GramMatrix& gram) const;
 

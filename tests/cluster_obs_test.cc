@@ -201,6 +201,7 @@ TEST(AccessLogTest, FormatRoundTripsThroughJsonParser) {
   record.audit.queue_ms = 0.25;
   record.audit.corpus_ms = 1.5;
   record.audit.rank_ms = 8.0;
+  record.audit.fanout_ms = 9.5;
   record.audit.merge_ms = 2.0;
   record.audit.serialize_ms = 0.75;
   record.audit.journal_ms = 0.125;
@@ -226,6 +227,7 @@ TEST(AccessLogTest, FormatRoundTripsThroughJsonParser) {
   EXPECT_EQ(doc.Find("queue_ms")->number, 0.25);
   EXPECT_EQ(doc.Find("corpus_ms")->number, 1.5);
   EXPECT_EQ(doc.Find("rank_ms")->number, 8.0);
+  EXPECT_EQ(doc.Find("fanout_ms")->number, 9.5);
   EXPECT_EQ(doc.Find("merge_ms")->number, 2.0);
   EXPECT_EQ(doc.Find("serialize_ms")->number, 0.75);
   EXPECT_EQ(doc.Find("journal_ms")->number, 0.125);
@@ -575,6 +577,32 @@ TEST(ClusterTraceTest, ScatterGatherSharesOneCoordinatorMintedTrace) {
   EXPECT_EQ(rank_entry->Find("trace")->string, root->context.trace_id);
   EXPECT_EQ(rank_entry->Find("cameras")->array.size(), 2u);
   EXPECT_GE(rank_entry->Find("merge_ms")->number, 0.0);
+}
+
+TEST(ClusterAccessLogTest, MultiCameraRankAttributesFanout) {
+  // The scatter-gather to the workers is the bulk of a multi-camera rank;
+  // the coordinator's line must time it, inside the request's total.
+  TempDir dir("mivid_coord_fanout_test");
+  const std::string coord_log = dir.path() + "/coord.access.log";
+  ObsFleet fleet(coord_log);
+  ASSERT_TRUE(IsOk(Parse(fleet.Call(
+      R"({"cmd":"open","session":"fo1","cameras":["cam0","cam1"]})"))));
+  ASSERT_TRUE(IsOk(Parse(
+      fleet.Call(R"({"cmd":"rank","session":"fo1","top":4})"))));
+  ASSERT_TRUE(IsOk(Parse(
+      fleet.Call(R"({"cmd":"close","session":"fo1","discard":true})"))));
+
+  int ranks = 0;
+  for (const std::string& line : ReadLines(coord_log)) {
+    const JsonValue doc = Parse(line);
+    if (doc.Find("cmd")->string != "rank") continue;
+    ++ranks;
+    EXPECT_EQ(doc.Find("cameras")->array.size(), 2u);
+    const double fanout = doc.Find("fanout_ms")->number;
+    EXPECT_GT(fanout, 0.0);
+    EXPECT_LE(fanout, doc.Find("total_ms")->number);
+  }
+  EXPECT_EQ(ranks, 1);
 }
 
 TEST(ClusterTraceTest, TracingDisabledLeavesRequestsUnstamped) {

@@ -1,29 +1,17 @@
-// Determinism regression tests: the whole experiment does not depend on
-// the thread count, and the kernel cache does not change a Gram matrix
-// or depend on its own history. The bits of each numeric kernel are
-// pinned in simd_kernels_test.cc.
+// Determinism regression test: the whole experiment does not depend on
+// the thread count. The bits of each numeric kernel are pinned in
+// simd_kernels_test.cc.
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eval/experiment.h"
 #include "retrieval/heuristic.h"
-#include "svm/kernel_cache.h"
-#include "svm/one_class_svm.h"
+#include "retrieval/mil_rf_engine.h"
 #include "trafficsim/scenarios.h"
 
 namespace mivid {
 namespace {
-
-std::vector<Vec> RandomPoints(size_t n, size_t dim, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Vec> points(n, Vec(dim));
-  for (auto& p : points) {
-    for (auto& v : p) v = rng.Uniform();
-  }
-  return points;
-}
 
 /// Runs `fn` once at 1 thread and once at 8, restoring the default after.
 template <typename Fn>
@@ -34,30 +22,6 @@ void AtThreadCounts(const Fn& fn, decltype(fn()) * serial,
   SetGlobalThreadCount(8);
   *parallel = fn();
   SetGlobalThreadCount(0);
-}
-
-TEST(DeterminismTest, CachedGramMatchesUncached) {
-  const auto points = RandomPoints(48, 9, 21);
-  std::vector<InstanceKey> ids(points.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = {static_cast<int>(i / 4), static_cast<int>(i % 4)};
-  }
-  KernelParams params;  // RBF
-  const GramMatrix uncached(params, points);
-
-  KernelCache cache;
-  // Two passes: the second is served entirely from the cache.
-  (void)cache.PairwiseSquaredDistances(points, ids);
-  const Matrix d2 = cache.PairwiseSquaredDistances(points, ids);
-  EXPECT_GT(cache.hits(), 0u);
-  const GramMatrix cached(params, d2);
-
-  ASSERT_EQ(cached.size(), uncached.size());
-  for (size_t i = 0; i < cached.size(); ++i) {
-    for (size_t j = 0; j < cached.size(); ++j) {
-      EXPECT_EQ(cached.At(i, j), uncached.At(i, j)) << i << "," << j;
-    }
-  }
 }
 
 TEST(DeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
@@ -116,32 +80,6 @@ TEST(DeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.top20, parallel.top20);
   ASSERT_FALSE(serial.curves.empty());
   ASSERT_FALSE(serial.top20.empty());
-}
-
-TEST(DeterminismTest, KernelCacheAccumulatesAcrossRounds) {
-  // Feedback rounds grow the training set; previously seen pairs must be
-  // cache hits and the resulting model must not depend on cache history.
-  const auto points = RandomPoints(30, 6, 55);
-  std::vector<InstanceKey> ids(points.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = {static_cast<int>(i), 0};
-  }
-  KernelCache cache;
-  std::vector<Vec> round1(points.begin(), points.begin() + 20);
-  std::vector<InstanceKey> ids1(ids.begin(), ids.begin() + 20);
-  (void)cache.PairwiseSquaredDistances(round1, ids1);
-  const uint64_t misses_after_round1 = cache.misses();
-  EXPECT_EQ(misses_after_round1, 20u * 19u / 2u);
-
-  const Matrix d2 = cache.PairwiseSquaredDistances(points, ids);
-  // Round 2 adds 10 instances: only pairs touching them are new.
-  EXPECT_EQ(cache.misses() - misses_after_round1,
-            30u * 29u / 2u - 20u * 19u / 2u);
-  EXPECT_EQ(cache.hits(), 20u * 19u / 2u);
-
-  KernelCache fresh;
-  const Matrix d2_fresh = fresh.PairwiseSquaredDistances(points, ids);
-  EXPECT_EQ(d2.MaxAbsDiff(d2_fresh), 0.0);
 }
 
 }  // namespace

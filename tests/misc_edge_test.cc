@@ -1,13 +1,12 @@
 // Assorted edge-case coverage: degenerate SVM configurations, session
-// bounds, query-engine options, homography inverses, scaler dimensions,
-// experiment smoothing option, and whole-experiment determinism.
+// bounds, query-engine options, scaler dimensions, experiment smoothing
+// option, and whole-experiment determinism.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
-#include "geometry/homography.h"
 #include "retrieval/session.h"
 #include "svm/one_class_svm.h"
 
@@ -88,21 +87,6 @@ TEST(SessionEdgeTest, RestoreOnEmptyLabelsIsHarmless) {
   RetrievalSession session(TinyCorpus(5), SessionOptions{});
   ASSERT_TRUE(session.Restore({}, 7).ok());
   EXPECT_EQ(session.round(), 7);
-}
-
-TEST(HomographyEdgeTest, SingularMatrixHasNoInverse) {
-  Matrix m(3, 3);  // all zeros
-  Homography h(m);
-  EXPECT_FALSE(h.Inverse().ok());
-}
-
-TEST(HomographyEdgeTest, PointOnLineAtInfinity) {
-  Matrix m = Matrix::Identity(3);
-  m.At(2, 0) = 1.0;
-  m.At(2, 2) = 0.0;  // w = x; the y axis maps to infinity
-  Homography h(m);
-  const Point2 far = h.Apply({0.0, 5.0});
-  EXPECT_GT(far.Norm(), 1e10);
 }
 
 TEST(ExperimentEdgeTest, SmoothedPipelineRuns) {

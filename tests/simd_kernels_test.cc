@@ -28,7 +28,6 @@
 #include "segment/segmenter.h"
 #include "segment/spcpe.h"
 #include "svm/kernel.h"
-#include "svm/kernel_cache.h"
 #include "svm/one_class_svm.h"
 #include "trafficsim/renderer.h"
 #include "trafficsim/scenarios.h"
@@ -423,25 +422,23 @@ TEST(SimdKernelsTest, GramMatrixPinned) {
   pin(KernelType::kPoly, 0x346f473c0fb5c9fcULL);
 }
 
-TEST(SimdKernelsTest, CachedGramPinned) {
-  // Round two reuses round one's 40 x 40 block and computes only the
-  // rows of the 30 new points.
+TEST(SimdKernelsTest, PairwiseSquaredDistancesPinned) {
+  // The training-set distances and the RBF Gram built from them, which
+  // must equal the Gram built straight from the points.
   const auto points = RandomPoints(70, 9, 11);
-  std::vector<InstanceKey> ids(points.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = {static_cast<int>(i / 3), static_cast<int>(i % 3)};
-  }
   ExpectPinnedOnEveryTier(0x5ec8acfe05108a95ULL, [&] {
-    KernelCache cache;
-    (void)cache.PairwiseSquaredDistances(
-        std::vector<Vec>(points.begin(), points.begin() + 40),
-        std::vector<InstanceKey>(ids.begin(), ids.begin() + 40));
-    const Matrix d2 = cache.PairwiseSquaredDistances(points, ids);
+    const Matrix d2 = PairwiseSquaredDistances(points);
     Fnv1a h;
     for (size_t i = 0; i < d2.rows(); ++i) {
       for (size_t j = 0; j < d2.cols(); ++j) h.Double(d2.At(i, j));
     }
-    HashGram(GramMatrix(KernelParams{}, d2), &h);
+    const GramMatrix from_d2(KernelParams{}, d2);
+    HashGram(from_d2, &h);
+    Fnv1a direct;
+    HashGram(GramMatrix(KernelParams{}, points), &direct);
+    Fnv1a via_d2;
+    HashGram(from_d2, &via_d2);
+    EXPECT_EQ(via_d2.value(), direct.value());
     return h.value();
   });
 }

@@ -426,7 +426,7 @@ int SelfTest() {
     const JsonValue* counters = doc->Find("counters");
     for (const char* name :
          {"segment/frames", "track/frames", "window/vs", "gram/builds",
-          "kernel_cache/misses", "rank/calls", "mil/learn_calls"}) {
+          "rank/calls", "mil/learn_calls"}) {
       const JsonValue* c = counters ? counters->Find(name) : nullptr;
       Expect(c != nullptr && c->number > 0,
              StrFormat("selftest: counter \"%s\" missing or zero", name));
