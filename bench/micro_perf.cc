@@ -378,7 +378,7 @@ void BM_EpochPublish(benchmark::State& state) {
   if (last.ok()) {
     state.counters["final_epoch"] = static_cast<double>(last.value()->id);
     state.counters["final_bags"] =
-        static_cast<double>(last.value()->corpus->dataset.bags().size());
+        static_cast<double>(last.value()->bag_count());
   }
   EnableMetrics(metrics_were_enabled);
   db.reset();

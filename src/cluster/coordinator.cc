@@ -858,9 +858,13 @@ std::string Coordinator::MultiRank(const ServeRequest& req,
   std::string items = "[";
   for (size_t i = 0; i < merged.size(); ++i) {
     if (i > 0) items += ',';
-    items += StrFormat("{\"camera\":\"%s\",\"bag\":%d,\"score\":%.17g}",
-                       JsonEscape(merged[i].camera).c_str(),
-                       merged[i].bag_id, merged[i].score);
+    items += "{\"camera\":\"";
+    items += JsonEscape(merged[i].camera);
+    items += "\",\"bag\":";
+    AppendInt(&items, merged[i].bag_id);
+    items += ",\"score\":";
+    AppendDouble(&items, merged[i].score);
+    items += '}';
   }
   items += ']';
 

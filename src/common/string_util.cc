@@ -1,10 +1,13 @@
 #include "common/string_util.h"
 
+#include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cerrno>
 #include <cstring>
+#include <system_error>
 
 namespace mivid {
 
@@ -65,12 +68,19 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 }
 
 bool ParseDouble(std::string_view s, double* out) {
-  std::string buf(Trim(s));
-  if (buf.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  std::string_view text = Trim(s);
+  // from_chars takes no leading '+' (strtod did); a sign after it stays
+  // malformed.
+  if (!text.empty() && text.front() == '+') {
+    text.remove_prefix(1);
+    if (!text.empty() && text.front() == '-') return false;
+  }
+  if (text.empty()) return false;
+  const char* end = text.data() + text.size();
+  double v = 0.0;
+  const std::from_chars_result r =
+      std::from_chars(text.data(), end, v, std::chars_format::general);
+  if (r.ec != std::errc() || r.ptr != end) return false;
   *out = v;
   return true;
 }
@@ -84,6 +94,19 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
   *out = static_cast<int64_t>(v);
   return true;
+}
+
+void AppendDouble(std::string* out, double v) {
+  char buf[32];  // "-2.2250738585072014e-308" is the longest: 24 chars
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
 }
 
 std::string DoubleToString(double v, int precision) {

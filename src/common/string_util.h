@@ -3,6 +3,7 @@
 #ifndef MIVID_COMMON_STRING_UTIL_H_
 #define MIVID_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,11 +28,24 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True iff `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Parses a double; returns false on malformed input or trailing junk.
+/// Parses a decimal double (surrounding ASCII whitespace and a leading
+/// '+' allowed); returns false on malformed input, trailing junk, or a
+/// value that overflows to infinity or underflows to zero. Subnormals
+/// parse, so every finite double AppendDouble writes reads back
+/// bit-identically. Hexadecimal floats are not accepted.
 bool ParseDouble(std::string_view s, double* out);
 
 /// Parses a signed 64-bit integer; returns false on malformed input.
 bool ParseInt64(std::string_view s, int64_t* out);
+
+/// The one wire-number writer: appends `v` exactly as printf("%.17g")
+/// prints it (std::to_chars general format, precision 17, which the C++
+/// standard defines to match), so every finite double round-trips
+/// bit-identically through ParseDouble.
+void AppendDouble(std::string* out, double v);
+
+/// Appends the decimal digits of `v` (printf("%lld")'s text).
+void AppendInt(std::string* out, int64_t v);
 
 /// Renders `v` with `precision` digits after the decimal point.
 std::string DoubleToString(double v, int precision = 6);

@@ -54,9 +54,18 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Each level is a recursion: bound it, or a line of brackets
+        // overflows the stack.
+        if (depth_ == kMaxJsonDepth) {
+          return Error(StrFormat("nesting deeper than %d levels",
+                                 kMaxJsonDepth));
+        }
+        ++depth_;
+        Status nested = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return nested;
+      }
       case '"':
         out->type = JsonValue::Type::kString;
         return ParseString(&out->string);
@@ -214,6 +223,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace
@@ -242,13 +252,13 @@ void SerializeTo(const JsonValue& value, std::string* out) {
       break;
     case JsonValue::Type::kNumber: {
       // Integers within the exactly-representable range print without a
-      // fractional part so counters round-trip as written.
+      // fractional part so counters round-trip as written. The range test
+      // comes first: converting a larger double to int64_t is undefined.
       const double n = value.number;
-      if (n == static_cast<double>(static_cast<int64_t>(n)) &&
-          std::abs(n) < 9.007199254740992e15) {
-        *out += StrFormat("%lld", static_cast<long long>(n));
+      if (std::abs(n) < 9.007199254740992e15 && n == std::trunc(n)) {
+        AppendInt(out, static_cast<int64_t>(n));
       } else {
-        *out += StrFormat("%.17g", n);
+        AppendDouble(out, n);
       }
       break;
     }

@@ -41,15 +41,21 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
+/// Deepest array/object nesting ParseJson accepts; every document the
+/// system writes nests a few levels.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses `text` as one JSON document (trailing whitespace allowed,
-/// trailing garbage is an error).
+/// trailing garbage is an error). InvalidArgument for malformed text and
+/// for nesting deeper than kMaxJsonDepth.
 Result<JsonValue> ParseJson(std::string_view text);
 
 /// Escapes `s` for embedding inside a JSON string literal (no quotes).
 std::string JsonEscape(std::string_view s);
 
 /// Serializes a parsed value back to compact JSON text. Numbers are
-/// emitted with %.17g (round-trip safe for doubles); member and element
+/// emitted by AppendDouble (common/string_util.h), the one wire-number
+/// writer: %.17g's bytes, round-trip safe for doubles; member and element
 /// order is preserved. Used by the trace stitcher to re-emit events it
 /// parsed from per-process trace files.
 std::string JsonSerialize(const JsonValue& value);

@@ -9,12 +9,15 @@ namespace mivid {
 
 namespace {
 
-// %.17g round-trips doubles exactly; JSON forbids NaN/inf, and metric
-// values are finite by construction (observations are finite wall times
-// and counts), so a plain format is safe here.
+// AppendDouble (%.17g's bytes) round-trips doubles exactly; JSON
+// forbids NaN/inf, and metric values are finite by construction
+// (observations are finite wall times and counts), so a plain format is
+// safe here.
 std::string Number(double v) {
   if (!std::isfinite(v)) return "0";
-  return StrFormat("%.17g", v);
+  std::string out;
+  AppendDouble(&out, v);
+  return out;
 }
 
 }  // namespace

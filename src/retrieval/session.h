@@ -88,16 +88,32 @@ class RetrievalSession {
   Status Restore(const std::vector<std::pair<int, BagLabel>>& labels,
                  int round);
 
+  /// Grows the session's corpus to `grown`, the concatenation of the
+  /// given datasets, which must extend it: at least as many bags, and
+  /// the same bag id at this corpus's last index (Internal otherwise,
+  /// with the session unchanged). Appends bags [size(), grown size),
+  /// rebuilds the engine over the grown dataset and replays the labels
+  /// through Restore, so the session ranks as one created over `grown`
+  /// with the same feedback restored (round 0 when no bag is labeled).
+  /// If the replay fails, the session keeps the grown corpus and its
+  /// labels, like a failed feedback round.
+  Status Extend(const std::vector<const MilDataset*>& grown);
+
   int round() const { return round_; }
   size_t top_n() const { return options_.top_n; }
   const MilDataset& dataset() const { return *dataset_; }
   const RetrievalEngine& engine() const { return *engine_; }
 
  private:
+  /// (Re)builds engine_ over dataset_ from factory_, or from the
+  /// registry when no factory was given.
+  void BuildEngine();
+
   // Held behind stable pointers so the session stays movable: the engine
   // references the dataset by address.
   std::unique_ptr<MilDataset> dataset_;
   SessionOptions options_;
+  EngineFactory factory_;
   std::unique_ptr<RetrievalEngine> engine_;
   int round_ = 0;
 };

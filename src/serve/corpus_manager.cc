@@ -1,6 +1,7 @@
 #include "serve/corpus_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/fault.h"
@@ -26,12 +27,47 @@ Status AppendCorpusBags(const CameraCorpus& from, CameraCorpus* to) {
   return Status::OK();
 }
 
+/// The instance dimension of `dataset`'s bags; unset while it has no
+/// instance.
+std::optional<size_t> InstanceDim(const MilDataset& dataset) {
+  for (const MilBag& bag : dataset.bags()) {
+    if (!bag.instances.empty()) return bag.instances[0].features.size();
+  }
+  return std::nullopt;
+}
+
 double SecondsSince(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
       .count();
 }
 
 }  // namespace
+
+size_t CorpusEpoch::bag_count() const {
+  size_t n = 0;
+  for (const auto& part : parts) n += part->dataset.size();
+  return n;
+}
+
+std::vector<const MilDataset*> CorpusEpoch::datasets() const {
+  std::vector<const MilDataset*> out;
+  out.reserve(parts.size());
+  for (const auto& part : parts) out.push_back(&part->dataset);
+  return out;
+}
+
+MilDataset CorpusEpoch::Dataset() const {
+  if (parts.size() == 1) return parts[0]->dataset;
+  MilDataset out;
+  for (const auto& part : parts) {
+    for (const MilBag& bag : part->dataset.bags()) {
+      const Status added = out.AddBag(bag);
+      // Publish refuses a part of another instance dimension.
+      MIVID_CHECK(added.ok()) << added.ToString();
+    }
+  }
+  return out;
+}
 
 namespace {
 
@@ -214,7 +250,7 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
   auto epoch = std::make_shared<CorpusEpoch>();
   epoch->camera_id = camera_id;
   epoch->id = epoch_id;
-  epoch->corpus = std::move(corpus);
+  epoch->parts.push_back(std::move(corpus));
   epoch->published_at = std::chrono::steady_clock::now();
   out.epoch = std::move(epoch);
   return out;
@@ -310,20 +346,30 @@ Result<std::shared_ptr<const CorpusEpoch>> CorpusManager::Publish(
   std::vector<EpochSegment> segments = state->segments;
   lock.unlock();
 
-  // Materialize the delta bags, ids continuing after the base corpus.
-  CameraCorpus delta;
-  delta.camera_id = camera_id;
-  int next_bag_id = NextBagId(*base->corpus);
+  // Materialize the delta bags, ids continuing after the base epoch's
+  // last bag.
+  auto delta = std::make_shared<CameraCorpus>();
+  delta->camera_id = camera_id;
+  int next_bag_id = 0;
+  std::optional<size_t> base_dim;
+  for (const auto& part : base->parts) {
+    next_bag_id = std::max(next_bag_id, NextBagId(*part));
+    if (!base_dim) base_dim = InstanceDim(part->dataset);
+  }
   std::vector<int> delta_clips;
-  auto merged = std::make_shared<CameraCorpus>();
-  merged->camera_id = camera_id;
   Status built = Status::OK();
   for (const ClipExtraction& clip : staged) {
     delta_clips.push_back(clip.clip_id);
-    if (built.ok()) built = AppendClipBags(clip, query_, &delta, &next_bag_id);
+    if (built.ok()) {
+      built = AppendClipBags(clip, query_, delta.get(), &next_bag_id);
+    }
   }
-  if (built.ok()) built = AppendCorpusBags(*base->corpus, merged.get());
-  if (built.ok()) built = AppendCorpusBags(delta, merged.get());
+  const std::optional<size_t> delta_dim = InstanceDim(delta->dataset);
+  if (built.ok() && base_dim && delta_dim && *base_dim != *delta_dim) {
+    built = Status::InvalidArgument(StrFormat(
+        "published clips have %zu features per instance; the corpus has %zu",
+        *delta_dim, *base_dim));
+  }
   if (!built.ok()) {
     // Clips whose instances do not match the corpus can never publish:
     // drop them and let the next publisher in.
@@ -337,12 +383,13 @@ Result<std::shared_ptr<const CorpusEpoch>> CorpusManager::Publish(
   auto epoch = std::make_shared<CorpusEpoch>();
   epoch->camera_id = camera_id;
   epoch->id = base->id + 1;
-  epoch->corpus = merged;
+  epoch->parts = base->parts;
+  if (delta->dataset.size() > 0) epoch->parts.push_back(delta);
   epoch->published_at = std::chrono::steady_clock::now();
 
   if (!snapshot_dir_.empty()) {
     Result<EpochSegment> seg = WriteSegment(
-        delta, delta_clips, camera_id, segments.size(), epoch->id, segments);
+        *delta, delta_clips, camera_id, segments.size(), epoch->id, segments);
     if (seg.ok()) segments.push_back(std::move(seg).value());
   }
 

@@ -15,8 +15,11 @@
 //  * Publish(camera) atomically swaps in a new immutable epoch =
 //    published + tail, with bag ids continuing where the published
 //    corpus ended (existing bag ids — and therefore session feedback
-//    labels — never change meaning across epochs). With no staged
-//    tail, Publish is an idempotent no-op returning the current epoch.
+//    labels — never change meaning across epochs). The new epoch shares
+//    the published epoch's parts and adds the tail's bags as one more,
+//    so a publish costs the new clips, not a copy of the corpus. With no
+//    staged tail, Publish is an idempotent no-op returning the current
+//    epoch.
 //
 // The first Snapshot of a camera cold-loads epoch 1 with single-flight
 // semantics: segments restored from the on-disk epoch manifest
@@ -48,8 +51,19 @@ namespace mivid {
 struct CorpusEpoch {
   std::string camera_id;
   uint64_t id = 0;  ///< monotonic per camera, first publish = 1
-  std::shared_ptr<const CameraCorpus> corpus;
+  /// The epoch's bags in id order, as immutable parts: the cold-loaded
+  /// corpus, then one part per publish that added bags. Consecutive
+  /// epochs share all but the newest part.
+  std::vector<std::shared_ptr<const CameraCorpus>> parts;
   std::chrono::steady_clock::time_point published_at;
+
+  /// Bags over all parts.
+  size_t bag_count() const;
+  /// Each part's dataset, in order (what RetrievalSession::Extend takes).
+  std::vector<const MilDataset*> datasets() const;
+  /// Every bag as one dataset: a copy, which for a one-part epoch shares
+  /// that part's packed corpus.
+  MilDataset Dataset() const;
 };
 
 class CorpusManager {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iterator>
+#include <limits>
 
 #include "common/string_util.h"
 #include "obs/json.h"
@@ -24,12 +25,18 @@ Result<std::string> GetString(const JsonValue& obj, std::string_view key) {
   return v->string;
 }
 
+/// True when `v` is a number holding an integer an `int` can represent;
+/// converting any other double to int is undefined behaviour.
+bool IsIntValue(const JsonValue& v) {
+  return v.is_number() && v.number == std::floor(v.number) &&
+         v.number >= std::numeric_limits<int>::min() &&
+         v.number <= std::numeric_limits<int>::max();
+}
+
 Result<int> GetInt(const JsonValue& obj, std::string_view key, int fallback) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->number != std::floor(v->number)) {
-    return FieldError(key, "must be an integer");
-  }
+  if (!IsIntValue(*v)) return FieldError(key, "must be an integer");
   return static_cast<int>(v->number);
 }
 
@@ -117,9 +124,7 @@ Status CheckProtocolVersion(const JsonValue& doc) {
       "must be an integer or \"major[.minor]\" string";
   int major = 0;
   if (ver->is_number()) {
-    if (ver->number != std::floor(ver->number)) {
-      return FieldError("v", kShape);
-    }
+    if (!IsIntValue(*ver)) return FieldError("v", kShape);
     major = static_cast<int>(ver->number);
   } else if (ver->is_string()) {
     const std::string& s = ver->string;
@@ -242,7 +247,7 @@ Status ParseIngestFields(const JsonValue& doc, ServeRequest* req) {
           return FieldError("incidents[].vehicles", "must be an array");
         }
         for (const JsonValue& v : vehicles->array) {
-          if (!v.is_number() || v.number != std::floor(v.number)) {
+          if (!IsIntValue(v)) {
             return FieldError("incidents[].vehicles",
                               "entries must be integers");
           }
@@ -488,15 +493,16 @@ JsonLineBuilder& JsonLineBuilder::Str(std::string_view key,
 
 JsonLineBuilder& JsonLineBuilder::Int(std::string_view key, int64_t value) {
   Key(key);
-  out_ += std::to_string(value);
+  AppendInt(&out_, value);
   return *this;
 }
 
 JsonLineBuilder& JsonLineBuilder::Num(std::string_view key, double value) {
   Key(key);
-  // %.17g round-trips IEEE doubles exactly, so client-side scores compare
-  // bit-identical to in-process rankings.
-  out_ += StrFormat("%.17g", value);
+  // AppendDouble is the one wire-number writer (%.17g's bytes): doubles
+  // round-trip exactly, so client-side scores compare bit-identical to
+  // in-process rankings.
+  AppendDouble(&out_, value);
   return *this;
 }
 

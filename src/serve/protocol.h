@@ -163,7 +163,9 @@ std::string ResponseStatusCode(const std::string& response);
 std::string ErrorResponse(const Status& status);
 
 /// Incremental single-line JSON object writer for responses. Values are
-/// escaped; Raw trusts the caller (nested arrays/objects).
+/// escaped; numbers go through AppendDouble/AppendInt
+/// (common/string_util.h), the one wire-number writer; Raw trusts the
+/// caller (nested arrays/objects).
 class JsonLineBuilder {
  public:
   JsonLineBuilder& Str(std::string_view key, std::string_view value);

@@ -354,8 +354,11 @@ std::string RetrievalServer::CmdRank(const ServeRequest& req) {
   std::string items = "[";
   for (size_t i = 0; i < limit && i < ranking.size(); ++i) {
     if (i > 0) items += ',';
-    items += StrFormat("{\"bag\":%d,\"score\":%.17g}", ranking[i].bag_id,
-                       ranking[i].score);
+    items += "{\"bag\":";
+    AppendInt(&items, ranking[i].bag_id);
+    items += ",\"score\":";
+    AppendDouble(&items, ranking[i].score);
+    items += '}';
   }
   items += ']';
 
@@ -643,8 +646,7 @@ std::string RetrievalServer::CmdPublish(const ServeRequest& req) {
       .Str("cmd", "publish")
       .Str("camera", req.camera_id)
       .Int("epoch", static_cast<int64_t>(epoch.id))
-      .Int("bags",
-           static_cast<int64_t>(epoch.corpus->dataset.bags().size()));
+      .Int("bags", static_cast<int64_t>(epoch.bag_count()));
   return std::move(out).Build();
 }
 

@@ -27,7 +27,7 @@ Result<std::shared_ptr<ServeSession>> SessionManager::Build(
   session_options.top_n = options_.top_n;
 
   MIVID_ASSIGN_OR_RETURN(RetrievalSession session,
-                         RetrievalSession::Create(epoch->corpus->dataset,
+                         RetrievalSession::Create(epoch->Dataset(),
                                                   std::move(session_options)));
 
   auto serve = std::make_shared<ServeSession>();
@@ -171,25 +171,14 @@ Status SessionManager::Refresh(ServeSession* session) {
     return Status::OK();  // already pinned to the latest epoch
   }
 
-  SessionOptions session_options = SessionOptionsFor(corpora_->query());
-  session_options.engine = session->engine;
-  session_options.top_n = options_.top_n;
-
-  // Rebuild over the new epoch's dataset, then replay the feedback so
-  // the session resumes mid-conversation. Bag ids never change meaning
-  // across epochs (new bags strictly append), so the replay reproduces
-  // the same trained state the old epoch held, now over more bags.
-  const std::vector<std::pair<int, BagLabel>> labels =
-      session->session->LabeledBags();
-  const int round = session->session->round();
-  MIVID_ASSIGN_OR_RETURN(RetrievalSession rebuilt,
-                         RetrievalSession::Create(epoch->corpus->dataset,
-                                                  std::move(session_options)));
-  if (!labels.empty()) {
-    MIVID_RETURN_IF_ERROR(rebuilt.Restore(labels, round));
-  }
+  // A camera's epochs only grow by Publish appending bags with
+  // continuing ids, so the session's own dataset takes the new epoch's
+  // tail bags, and its labels replay over the rebuilt engine: the same
+  // state a fresh open on the new epoch restores, at the cost of the new
+  // bags instead of a copy of the whole corpus. Extend refuses (with the
+  // session unchanged) an epoch that does not extend the session's bags.
+  MIVID_RETURN_IF_ERROR(session->session->Extend(epoch->datasets()));
   session->epoch = std::move(epoch);
-  *session->session = std::move(rebuilt);
   MIVID_METRIC_COUNT("serve/session_refreshes", 1);
   return Status::OK();
 }

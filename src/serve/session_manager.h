@@ -36,8 +36,9 @@ namespace mivid {
 ///
 /// The session pins the corpus epoch it opened on: concurrent ingest and
 /// epoch publishes never change its rankings. `refresh` re-pins onto the
-/// latest epoch, replaying the session's labels (bag ids are stable
-/// across epochs, so feedback keeps its meaning).
+/// latest epoch by appending its new bags to the session's dataset and
+/// replaying the session's labels (bag ids are stable across epochs, so
+/// feedback keeps its meaning).
 struct ServeSession {
   std::string id;
   std::string camera_id;
@@ -85,10 +86,13 @@ class SessionManager {
   /// Journals `session`'s current state. Caller holds session.mu.
   Status Save(const ServeSession& session);
 
-  /// Re-pins `session` onto its camera's latest published epoch,
-  /// rebuilding the retrieval state and replaying the session's labels.
-  /// No-op when the session already pins the latest epoch. Caller holds
-  /// session->mu.
+  /// Re-pins `session` onto its camera's latest published epoch: appends
+  /// the epoch's bags past the session's own (RetrievalSession::Extend),
+  /// rebuilds the engine and replays the session's labels. No-op when the
+  /// session already pins the latest epoch; Internal, with the session
+  /// unchanged, when the epoch does not extend the session's bags. A
+  /// failed replay keeps the old epoch pinned, and the next refresh
+  /// retries it. Caller holds session->mu.
   Status Refresh(ServeSession* session);
 
   /// Closes a live session: journals it (unless `discard`) and drops it

@@ -70,6 +70,19 @@ GroundTruth SimulateTunnel(int total_frames, uint64_t seed) {
 using test::FramesFromTracks;
 using test::IngestLine;
 
+/// The epoch's parts merged into one corpus, provenance and truth
+/// included, for bitwise comparison with a batch build.
+CameraCorpus Merged(const CorpusEpoch& epoch) {
+  CameraCorpus out;
+  out.camera_id = epoch.camera_id;
+  out.dataset = epoch.Dataset();
+  for (const auto& part : epoch.parts) {
+    out.bag_refs.insert(part->bag_refs.begin(), part->bag_refs.end());
+    out.truth.insert(part->truth.begin(), part->truth.end());
+  }
+  return out;
+}
+
 void ExpectPointBitIdentical(const SamplingPointFeatures& got,
                              const SamplingPointFeatures& want) {
   EXPECT_EQ(got.frame, want.frame);
@@ -346,8 +359,10 @@ TEST(CameraIngestorTest, StreamedPublishMatchesBatchCorpusBitwise) {
   ASSERT_TRUE(epoch2.ok()) << epoch2.status().ToString();
   EXPECT_EQ(epoch2.value()->id, 2u);
   EXPECT_EQ(corpora.stats().publishes, 1u);
-  EXPECT_GT(epoch2.value()->corpus->dataset.size(),
-            epoch1.value()->corpus->dataset.size());
+  EXPECT_GT(epoch2.value()->bag_count(), epoch1.value()->bag_count());
+  // Epoch 2 shares epoch 1's part and adds the new clip's bags as one.
+  ASSERT_EQ(epoch2.value()->parts.size(), epoch1.value()->parts.size() + 1);
+  EXPECT_EQ(epoch2.value()->parts[0], epoch1.value()->parts[0]);
 
   // The published epoch must equal a from-scratch batch build over the
   // same stored clips, bitwise: same bags, ids, features, provenance,
@@ -355,13 +370,14 @@ TEST(CameraIngestorTest, StreamedPublishMatchesBatchCorpusBitwise) {
   QueryEngine engine(db.get());
   auto batch = engine.BuildCorpus("camS", query);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ExpectCorpusBitIdentical(*epoch2.value()->corpus, batch.value());
+  ExpectCorpusBitIdentical(Merged(*epoch2.value()), batch.value());
 
   // The pinned epoch-1 corpus is a strict prefix of epoch 2 (bag ids
   // never change meaning across epochs).
-  const auto& old_bags = epoch1.value()->corpus->dataset.bags();
+  const MilDataset old_bags = epoch1.value()->Dataset();
+  const MilDataset new_bags = epoch2.value()->Dataset();
   for (size_t b = 0; b < old_bags.size(); ++b) {
-    EXPECT_EQ(old_bags[b].id, epoch2.value()->corpus->dataset.bag(b).id);
+    EXPECT_EQ(old_bags.bag(b).id, new_bags.bag(b).id);
   }
 
   // Re-publishing with nothing staged is an idempotent no-op.
@@ -460,14 +476,58 @@ TEST(CorpusManagerTest, ColdRestoreFromSegmentsMatchesExtraction) {
   auto epoch = restored.Snapshot("camR");
   ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
   EXPECT_EQ(restored.stats().snapshot_hits, 1u);
-  ExpectCorpusBitIdentical(*epoch.value()->corpus, *published->corpus);
+  ExpectCorpusBitIdentical(Merged(*epoch.value()), Merged(*published));
 
   // A fresh manager without the snapshot dir re-extracts; the result
   // must still be bitwise identical (segments are a cache, not a fork).
   CorpusManager scratch(db.get(), query);
   auto extracted = scratch.Snapshot("camR");
   ASSERT_TRUE(extracted.ok());
-  ExpectCorpusBitIdentical(*extracted.value()->corpus, *published->corpus);
+  ExpectCorpusBitIdentical(Merged(*extracted.value()), Merged(*published));
+}
+
+TEST(CorpusManagerTest, PublishRefusesClipsOfAnotherInstanceDimension) {
+  TempDir dir("mivid_ingest_dim");
+  VideoDbOptions db_options;
+  db_options.create_if_missing = true;
+  auto opened = VideoDb::Open(dir.path(), db_options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<VideoDb> db = std::move(opened).value();
+  auto store = [&](uint64_t seed) {
+    const GroundTruth gt = SimulateTunnel(400, seed);
+    ClipInfo info;
+    info.camera_id = "camD";
+    info.total_frames = gt.total_frames;
+    auto clip = db->IngestClip(info, gt.tracks, gt.incidents);
+    EXPECT_TRUE(clip.ok());
+    auto record = db->LoadClip(clip.ok() ? clip.value() : -1);
+    EXPECT_TRUE(record.ok());
+    return record.ok() ? record.value() : ClipRecord{};
+  };
+  store(21);
+  const QueryOptions query;
+  CorpusManager corpora(db.get(), query);
+  auto epoch1 = corpora.Snapshot("camD");
+  ASSERT_TRUE(epoch1.ok()) << epoch1.status().ToString();
+
+  // Four checkpoints per window instead of three: longer instances.
+  QueryOptions wide = query;
+  wide.windows.window_size = 4;
+  wide.windows.stride = 4;
+  const ClipExtraction other = ExtractClip(store(22), wide);
+  ASSERT_FALSE(other.windows.empty());
+  ASSERT_TRUE(corpora.Append("camD", other).ok());
+  EXPECT_TRUE(corpora.Publish("camD").status().IsInvalidArgument());
+  auto unchanged = corpora.Snapshot("camD");
+  ASSERT_TRUE(unchanged.ok());
+  EXPECT_EQ(unchanged.value().get(), epoch1.value().get());
+
+  // The refused clips are dropped; a matching clip publishes next.
+  ASSERT_TRUE(corpora.Append("camD", ExtractClip(store(23), query)).ok());
+  auto epoch2 = corpora.Publish("camD");
+  ASSERT_TRUE(epoch2.ok()) << epoch2.status().ToString();
+  EXPECT_EQ(epoch2.value()->id, 2u);
+  EXPECT_GT(epoch2.value()->bag_count(), epoch1.value()->bag_count());
 }
 
 // ---------------------------------------------------------------------------

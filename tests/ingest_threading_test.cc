@@ -79,7 +79,7 @@ std::vector<FrameObservations> FramesFromTracks(
 std::vector<int> RankEpoch(const CorpusEpoch& epoch) {
   SessionOptions options;
   options.top_n = 10;
-  auto session = RetrievalSession::Create(epoch.corpus->dataset, options);
+  auto session = RetrievalSession::Create(epoch.Dataset(), options);
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   if (!session.ok()) return {};
   return session->TopBags();

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -241,6 +244,58 @@ TEST(JsonParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseJson("{} trailing").ok());
   EXPECT_FALSE(ParseJson("'single'").ok());
   EXPECT_FALSE(ParseJson("").ok());
+}
+
+// The number grammar of ParseDouble and of ParseJson, which hands it
+// every number token. Every row keeps the strtod-based reader's answer
+// except the subnormal rows: strtod reports ERANGE for a subnormal
+// result, so that reader refused values its own %.17g writer emits.
+TEST(JsonParserTest, NumberGrammarTable) {
+  struct Row {
+    const char* text;
+    bool accepted;
+    double value;
+  };
+  const Row kRows[] = {
+      {"+1", true, 1.0},
+      {"-0", true, -0.0},
+      {"1.", true, 1.0},
+      {"-.5", true, -0.5},
+      {"00012", true, 12.0},
+      {"1E5", true, 1e5},
+      {"1e+5", true, 1e5},
+      {" -1e3 ", true, -1e3},
+      {"1e400", false, 0.0},
+      {"1e-400", false, 0.0},
+      {"1e", false, 0.0},
+      {"-", false, 0.0},
+      {"+-1", false, 0.0},
+      {"1.5x", false, 0.0},
+      {"", false, 0.0},
+      // Subnormals: refused by the strtod reader.
+      {"1e-310", true, 1e-310},
+      {"4.9e-324", true, 4.9e-324},
+      {"-2.2250738585072009e-308", true, -2.2250738585072009e-308},
+  };
+  auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(row.text);
+    double v = 12345.0;
+    EXPECT_EQ(ParseDouble(row.text, &v), row.accepted);
+    if (row.accepted) {
+      EXPECT_EQ(bits(v), bits(row.value));
+    }
+    if (row.text[0] == '\0') continue;  // "[]" is an array, not a number
+    Result<JsonValue> doc = ParseJson(std::string("[") + row.text + "]");
+    EXPECT_EQ(doc.ok(), row.accepted);
+    if (doc.ok()) {
+      EXPECT_EQ(bits(doc->array.at(0).number), bits(row.value));
+    }
+  }
 }
 
 TEST(JsonParserTest, EscapeRoundTrips) {

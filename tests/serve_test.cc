@@ -4,8 +4,10 @@
 
 #include <unistd.h>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "serve/client.h"
 #include "serve/corpus_manager.h"
 #include "serve/server.h"
+#include "serve/session_manager.h"
 #include "trafficsim/scenarios.h"
 
 namespace mivid {
@@ -742,6 +745,179 @@ TEST(ServeServerTest, EveryRegisteredEngineServes) {
     ASSERT_TRUE(IsOk(rank)) << ErrorCode(rank);
     EXPECT_FALSE(GetRanking(rank).bags.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Session refresh by append
+
+GroundTruth RefreshClip(uint64_t seed) {
+  TunnelScenarioOptions options;
+  options.total_frames = 300;
+  options.num_wall_crashes = 1;
+  options.num_sudden_stops = 1;
+  options.num_speeding = 0;
+  options.num_uturns = 0;
+  options.seed = seed;
+  TrafficWorld world(MakeTunnelScenario(options));
+  return world.Run();
+}
+
+/// Stores `gt` as a new clip of `camera`; returns its id (-1 on failure).
+int StoreClip(VideoDb* db, const std::string& camera, const GroundTruth& gt) {
+  ClipInfo info;
+  info.camera_id = camera;
+  info.total_frames = gt.total_frames;
+  Result<int> clip = db->IngestClip(info, gt.tracks, gt.incidents);
+  EXPECT_TRUE(clip.ok()) << clip.status().ToString();
+  return clip.ok() ? clip.value() : -1;
+}
+
+/// Feedback every engine trains on: the best and third-best bags of the
+/// current ranking relevant, the runner-up irrelevant.
+std::vector<std::pair<int, BagLabel>> LabelTop(const RetrievalSession& s) {
+  const std::vector<ScoredBag> top = s.CurrentTopK(3);
+  EXPECT_EQ(top.size(), 3u);
+  if (top.size() < 3) return {};
+  return {{top[0].bag_id, BagLabel::kRelevant},
+          {top[1].bag_id, BagLabel::kIrrelevant},
+          {top[2].bag_id, BagLabel::kRelevant}};
+}
+
+uint64_t ScoreBits(double score) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &score, sizeof(bits));
+  return bits;
+}
+
+/// What a client can observe of a session: the full ranking (ids and
+/// score bits), the round, whether the engine trained, and the bags.
+struct SessionView {
+  std::vector<int> bags;
+  std::vector<uint64_t> scores;
+  int round = 0;
+  bool trained = false;
+  size_t size = 0;
+  std::vector<std::pair<int, BagLabel>> labels;
+
+  explicit SessionView(const RetrievalSession& s)
+      : round(s.round()),
+        trained(s.engine().trained()),
+        size(s.dataset().size()),
+        labels(s.LabeledBags()) {
+    for (const ScoredBag& b : s.CurrentRanking()) {
+      bags.push_back(b.bag_id);
+      scores.push_back(ScoreBits(b.score));
+    }
+  }
+};
+
+void ExpectSameView(const SessionView& got, const SessionView& want) {
+  EXPECT_EQ(got.round, want.round);
+  EXPECT_EQ(got.trained, want.trained);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.bags, want.bags);
+  EXPECT_EQ(got.scores, want.scores);
+}
+
+TEST(SessionRefreshTest, AppendEqualsFreshOpenAndReplay) {
+  TempDir dir("mivid_refresh_append");
+  VideoDbOptions db_options;
+  db_options.create_if_missing = true;
+  auto opened = VideoDb::Open(dir.path(), db_options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<VideoDb> db = std::move(opened).value();
+  std::vector<GroundTruth> clips;
+  for (uint64_t seed : {71, 72, 73, 74}) clips.push_back(RefreshClip(seed));
+
+  CorpusManager corpora(db.get(), QueryOptions{});
+  SessionManager sessions(db.get(), &corpora, SessionManagerOptions{});
+  for (const std::string& engine : RegisteredEngineNames()) {
+    SCOPED_TRACE(engine);
+    const std::string camera = "cam_" + engine;
+    ASSERT_GE(StoreClip(db.get(), camera, clips[0]), 0);
+    auto live_open = sessions.Open("live_" + engine, camera, engine);
+    ASSERT_TRUE(live_open.ok()) << live_open.status().ToString();
+    ServeSession& live = *live_open.value().session;
+    std::lock_guard<std::mutex> lock(live.mu);
+    ASSERT_TRUE(live.session->SubmitFeedback(LabelTop(*live.session)).ok());
+
+    // Three publish + refresh steps; feedback between them labels bags
+    // the earlier refreshes appended, so the last replay covers them.
+    for (size_t k = 1; k < clips.size(); ++k) {
+      const int clip = StoreClip(db.get(), camera, clips[k]);
+      Result<ClipRecord> record = db->LoadClip(clip);
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      ASSERT_TRUE(
+          corpora.Append(camera, ExtractClip(record.value(), corpora.query()))
+              .ok());
+      ASSERT_TRUE(corpora.Publish(camera).ok());
+      const size_t before = live.session->dataset().size();
+      ASSERT_TRUE(sessions.Refresh(&live).ok());
+      EXPECT_EQ(live.epoch->id, k + 1);
+      EXPECT_GT(live.session->dataset().size(), before);
+      if (k + 1 < clips.size()) {
+        ASSERT_TRUE(
+            live.session->SubmitFeedback(LabelTop(*live.session)).ok());
+      }
+    }
+    EXPECT_EQ(live.session->round(), 3);
+
+    // Reference: a session opened fresh on the final epoch, with the same
+    // feedback restored the way a journal resume does.
+    auto fresh_open = sessions.Open("fresh_" + engine, camera, engine);
+    ASSERT_TRUE(fresh_open.ok()) << fresh_open.status().ToString();
+    ServeSession& fresh = *fresh_open.value().session;
+    std::lock_guard<std::mutex> fresh_lock(fresh.mu);
+    ASSERT_EQ(fresh.epoch->id, live.epoch->id);
+    ASSERT_TRUE(fresh.session
+                    ->Restore(live.session->LabeledBags(),
+                              live.session->round())
+                    .ok());
+    const SessionView refreshed(*live.session);
+    EXPECT_TRUE(refreshed.trained);
+    ExpectSameView(refreshed, SessionView(*fresh.session));
+    EXPECT_EQ(refreshed.size, fresh.epoch->bag_count());
+  }
+}
+
+TEST(SessionRefreshTest, RefusesACorpusThatDoesNotExtendTheSession) {
+  CorpusManager corpora(Env().db.get(), QueryOptions{});
+  auto epoch = corpora.Snapshot("camA");
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  const MilDataset corpus = epoch.value()->Dataset();
+  ASSERT_GT(corpus.size(), 3u);
+
+  SessionOptions options = SessionOptionsFor(corpora.query());
+  auto created = RetrievalSession::Create(corpus, options);
+  ASSERT_TRUE(created.ok());
+  RetrievalSession session = std::move(created).value();
+  ASSERT_TRUE(session.SubmitFeedback(LabelTop(session)).ok());
+  const SessionView before(session);
+
+  // Fewer bags than the session holds.
+  MilDataset shorter;
+  for (size_t i = 0; i + 1 < corpus.size(); ++i) {
+    ASSERT_TRUE(shorter.AddBag(corpus.bag(i)).ok());
+  }
+  EXPECT_TRUE(session.Extend({&shorter}).IsInternal());
+  // As many bags, but another corpus: the ids do not continue the
+  // session's.
+  MilDataset renumbered;
+  for (const MilBag& bag : corpus.bags()) {
+    MilBag copy = bag;
+    copy.id += 100000;
+    ASSERT_TRUE(renumbered.AddBag(std::move(copy)).ok());
+  }
+  EXPECT_TRUE(session.Extend({&renumbered}).IsInternal());
+  ExpectSameView(SessionView(session), before);
+
+  // Still usable: the same corpus extends it by nothing, and feedback
+  // keeps working afterwards.
+  ASSERT_TRUE(session.Extend({&corpus}).ok());
+  ExpectSameView(SessionView(session), before);
+  EXPECT_TRUE(session.SubmitFeedback(LabelTop(session)).ok());
+  EXPECT_EQ(session.round(), 2);
 }
 
 }  // namespace

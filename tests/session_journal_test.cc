@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "db/codec.h"
 #include "db/video_db.h"
+#include "fuzz_mutate.h"
 
 namespace mivid {
 namespace {
@@ -307,47 +308,7 @@ TEST(SessionJournalTest, LabelCountBeyondTheRecordIsRefused) {
   EXPECT_TRUE(ReadSessionJournal(record).status().IsCorruption());
 }
 
-/// One mutation of `input`, drawn from `rng`: bit flips, a truncation, a
-/// splice with `other`, a duplicated span, or random bytes overwritten.
-std::string Mutate(const std::string& input, const std::string& other,
-                   Rng* rng) {
-  std::string out = input;
-  auto pick = [&](size_t n) {
-    return n == 0 ? size_t{0}
-                  : static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
-  };
-  switch (rng->UniformInt(0, 4)) {
-    case 0: {  // bit flips
-      const int flips = static_cast<int>(rng->UniformInt(1, 8));
-      for (int i = 0; i < flips && !out.empty(); ++i) {
-        out[pick(out.size())] ^= static_cast<char>(1 << rng->UniformInt(0, 7));
-      }
-      break;
-    }
-    case 1:  // truncation
-      out.resize(pick(out.size() + 1));
-      break;
-    case 2:  // splice: a prefix of one journal, a suffix of another
-      out = out.substr(0, pick(out.size() + 1)) +
-            other.substr(pick(other.size() + 1));
-      break;
-    case 3: {  // duplicate a span in place
-      const size_t begin = pick(out.size() + 1);
-      const size_t len = pick(out.size() - begin + 1);
-      out.insert(begin, out.substr(begin, len));
-      break;
-    }
-    default: {  // overwrite a run with random bytes
-      const size_t begin = pick(out.size() + 1);
-      const size_t len = std::min<size_t>(out.size() - begin, 1 + pick(16));
-      for (size_t i = 0; i < len; ++i) {
-        out[begin + i] = static_cast<char>(rng->UniformInt(0, 255));
-      }
-      break;
-    }
-  }
-  return out;
-}
+using test::Mutate;
 
 TEST(SessionJournalFuzzTest, MutatedJournalsReadOkOrCleanError) {
   // Seed corpus: journals the database itself wrote (short and compacted
