@@ -1,8 +1,10 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <future>
+#include <optional>
 #include <set>
 
 #include "cluster/merger.h"
@@ -78,46 +80,81 @@ std::string SubLine(
   return std::move(line).Build();
 }
 
-/// True when a worker response says {"ok":true,...}.
-bool ResponseOk(const JsonValue& doc) {
-  const JsonValue* ok = doc.Find("ok");
-  return ok != nullptr && ok->type == JsonValue::Type::kBool &&
-         ok->bool_value;
-}
-
-bool ResponseOk(const std::string& line) {
-  Result<JsonValue> doc = ParseJson(line);
-  return doc.ok() && ResponseOk(doc.value());
-}
-
-/// Extracts the "error" message from a failed worker response, or the
-/// whole line when it does not parse.
-std::string ResponseError(const std::string& line) {
-  Result<JsonValue> doc = ParseJson(line);
-  if (doc.ok()) {
-    const JsonValue* error = doc.value().Find("error");
-    if (error != nullptr && error->is_string()) return error->string;
-  }
-  return line;
-}
-
-/// Parses one sub-session's reply to `cmd`. A reply that is not
+/// Unwraps one sub-session's reply to `cmd`. A reply that is not
 /// {"ok":true,...} fails as "<cmd> on camera '<camera>' failed: <worker
 /// error>" (open keeps its own wording and code).
-Result<JsonValue> ParseSubReply(ServeCmd cmd, const std::string& camera,
-                                const std::string& reply) {
-  Result<JsonValue> doc = ParseJson(reply);
-  if (doc.ok() && ResponseOk(doc.value())) return doc;
-  const std::string why = ResponseError(reply);
+Result<JsonValue> UnwrapSubReply(ServeCmd cmd, const std::string& camera,
+                                 WorkerReply reply) {
+  if (reply.ok) return std::move(reply.doc);
   if (cmd == ServeCmd::kOpen) {
     return Status::FailedPrecondition("open of camera '" + camera +
-                                      "' failed: " + why);
+                                      "' failed: " + reply.error);
   }
   return Status::Internal(std::string(ServeCmdWireName(cmd)) +
-                          " on camera '" + camera + "' failed: " + why);
+                          " on camera '" + camera + "' failed: " +
+                          reply.error);
+}
+
+/// reply[key] as a count: an int, 0 when absent or not an int. Counts
+/// are read as int (bag ids are ints, so no count exceeds one) so that
+/// summing them over a session's cameras cannot overflow int64_t.
+int64_t CountOf(const JsonValue& reply, std::string_view key) {
+  const JsonValue* v = reply.Find(key);
+  return v != nullptr ? v->Int<int>().value_or(0) : 0;
+}
+
+/// reply[key] is the boolean true.
+bool IsTrue(const JsonValue& reply, std::string_view key) {
+  const JsonValue* v = reply.Find(key);
+  return v != nullptr && v->type == JsonValue::Type::kBool && v->bool_value;
 }
 
 }  // namespace
+
+WorkerReply ReadWorkerReply(std::string line) {
+  WorkerReply reply;
+  reply.line = std::move(line);
+  Result<JsonValue> doc = ParseJson(reply.line);
+  if (doc.ok()) {
+    reply.parsed = true;
+    reply.doc = std::move(doc).value();
+    reply.ok = IsTrue(reply.doc, "ok");
+  }
+  if (reply.ok) {
+    reply.code = "OK";
+    return reply;
+  }
+  const JsonValue* code = reply.doc.Find("code");
+  const JsonValue* error = reply.doc.Find("error");
+  reply.code = code != nullptr && code->is_string() ? code->string : "";
+  reply.error =
+      error != nullptr && error->is_string() ? error->string : reply.line;
+  return reply;
+}
+
+Status ReadRankReply(const JsonValue& reply, const std::string& camera,
+                     std::vector<ClusterScoredBag>* part, int64_t* total) {
+  *total += CountOf(reply, "total");
+  const JsonValue* ranking = reply.Find("ranking");
+  if (ranking == nullptr || !ranking->is_array()) return Status::OK();
+  part->reserve(part->size() + ranking->array.size());
+  for (size_t i = 0; i < ranking->array.size(); ++i) {
+    const JsonValue& item = ranking->array[i];
+    const JsonValue* bag = item.Find("bag");
+    const JsonValue* score = item.Find("score");
+    const std::optional<int> bag_id =
+        bag != nullptr ? bag->Int<int>() : std::nullopt;
+    if (!bag_id || score == nullptr || !score->is_number() ||
+        !std::isfinite(score->number)) {
+      return Status::DataLoss(StrFormat(
+          "rank on camera '%s' failed: ranking item %zu has no int bag and "
+          "finite score",
+          camera.c_str(), i));
+    }
+    part->push_back(ClusterScoredBag{camera, *bag_id, score->number});
+  }
+  return Status::OK();
+}
 
 Status ValidateCoordinatorOptions(const CoordinatorOptions& options) {
   if (options.socket_path.empty() && options.tcp_port < 0) {
@@ -371,7 +408,15 @@ Result<std::vector<std::string>> Coordinator::PlaceCamera(
   return owners;
 }
 
-Result<std::string> Coordinator::CallSub(CoordSession& session,
+Result<WorkerReply> Coordinator::CallWorker(WorkerConn& worker,
+                                            const std::string& line,
+                                            const Deadline& deadline) {
+  MIVID_ASSIGN_OR_RETURN(std::string bytes,
+                         registry_.Call(worker, line, deadline));
+  return ReadWorkerReply(std::move(bytes));
+}
+
+Result<WorkerReply> Coordinator::CallSub(CoordSession& session,
                                          SubSession& sub,
                                          const std::string& line,
                                          const Deadline& deadline,
@@ -431,36 +476,30 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
         MIVID_METRIC_COUNT("cluster/hedged_ranks", 1);
       }
       prior_deadline_miss = false;
-      Result<std::string> response =
-          registry_.Call(*worker, line, attempt);
+      Result<WorkerReply> response = CallWorker(*worker, line, attempt);
       if (response.ok()) {
         // A reply we cannot parse means the stream is corrupt
         // (truncated write, desynced framing): treat the worker like a
         // dead one, but remember that bytes were lost in case no
         // replica can answer.
-        if (ParseJson(response.value()).ok()) {
+        if (response->parsed) {
           // A live worker answering NOT_FOUND for a session the
           // coordinator is actively routing has restarted since the
           // sub-session was opened (a supervised respawn on the same
           // endpoint): its process is fresh, its in-memory sessions are
           // gone. Re-open in place — journal replay reconstructs the
           // exact pre-crash state — and retry the request once.
-          if (!resume_attempted &&
-              ResponseStatusCode(response.value()) == "NOT_FOUND") {
+          if (!resume_attempted && response->code == "NOT_FOUND") {
             resume_attempted = true;
-            Result<std::string> reopened = registry_.Call(
-                *worker, OpenLineFor(session, sub), attempt);
-            if (reopened.ok() && ParseJson(reopened.value()).ok() &&
-                ResponseStatusCode(reopened.value()) == "OK") {
+            Result<WorkerReply> reopened =
+                CallWorker(*worker, OpenLineFor(session, sub), attempt);
+            if (reopened.ok() && reopened->ok) {
               MIVID_METRIC_COUNT("cluster/sessions_resumed", 1);
               MIVID_LOG(Info)
                   << "session '" << sub.sub_id
                   << "' resumed on restarted worker " << worker->endpoint;
-              Result<std::string> retried =
-                  registry_.Call(*worker, line, attempt);
-              if (retried.ok() && ParseJson(retried.value()).ok()) {
-                return retried;
-              }
+              Result<WorkerReply> retried = CallWorker(*worker, line, attempt);
+              if (retried.ok() && retried->parsed) return retried;
             }
           }
           return response;
@@ -506,13 +545,12 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
       if (deadline.expired()) return out_of_budget();
       WorkerConn* next = registry_.Find(endpoint);
       if (next == nullptr) continue;
-      Result<std::string> opened =
-          registry_.Call(*next, open_line, deadline);
+      Result<WorkerReply> opened = CallWorker(*next, open_line, deadline);
       if (!opened.ok()) {
         DropFromRing(endpoint);
         continue;
       }
-      if (!ParseJson(opened.value()).ok()) {
+      if (!opened->parsed) {
         // Corrupt re-open reply: same treatment as a corrupt call reply.
         MIVID_METRIC_COUNT("cluster/malformed_replies", 1);
         registry_.MarkDead(*next);
@@ -520,10 +558,10 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
         DropFromRing(endpoint);
         continue;
       }
-      if (!ResponseOk(opened.value())) {
-        return Status::FailedPrecondition(
-            "failover re-open of '" + sub.sub_id + "' on " + endpoint +
-            " failed: " + ResponseError(opened.value()));
+      if (!opened->ok) {
+        return Status::FailedPrecondition("failover re-open of '" +
+                                          sub.sub_id + "' on " + endpoint +
+                                          " failed: " + opened->error);
       }
       reopened.push_back(endpoint);
     }
@@ -538,11 +576,11 @@ Result<std::string> Coordinator::CallSub(CoordSession& session,
   }
 }
 
-Result<std::string> Coordinator::MirrorSub(CoordSession& session,
+Result<WorkerReply> Coordinator::MirrorSub(CoordSession& session,
                                           SubSession& sub,
                                           const std::string& line,
                                           const Deadline& deadline) {
-  Result<std::string> primary = CallSub(session, sub, line, deadline);
+  Result<WorkerReply> primary = CallSub(session, sub, line, deadline);
   if (!primary.ok()) return primary;
   // Best-effort mirror keeps the other replicas' in-memory session state
   // in sync so rank can be served from any of them. Journaling is
@@ -553,18 +591,18 @@ Result<std::string> Coordinator::MirrorSub(CoordSession& session,
   // the next failover re-places the camera and re-opens it.
   for (size_t i = 1; i < sub.workers.size();) {
     WorkerConn* worker = registry_.Find(sub.workers[i]);
-    Result<std::string> mirrored =
+    Result<WorkerReply> mirrored =
         worker != nullptr && worker->alive.load(std::memory_order_acquire)
-            ? registry_.Call(*worker, line, deadline)
-            : Result<std::string>(
+            ? CallWorker(*worker, line, deadline)
+            : Result<WorkerReply>(
                   Status::IOError("replica is not connected"));
-    if (mirrored.ok() && ResponseOk(mirrored.value())) {
+    if (mirrored.ok() && mirrored->ok) {
       ++i;
       continue;
     }
     MIVID_LOG(Warn) << "dropping replica " << sub.workers[i] << " of "
                     << sub.sub_id << ": mirror failed ("
-                    << (mirrored.ok() ? ResponseError(mirrored.value())
+                    << (mirrored.ok() ? mirrored->error
                                       : mirrored.status().message())
                     << ")";
     MIVID_METRIC_COUNT("cluster/mirror_failures", 1);
@@ -626,14 +664,14 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
           "session '" + req.session_id + "' is already open on camera '" +
           session->subs[0].camera + "'"));
     }
-    Result<std::string> response =
+    Result<WorkerReply> response =
         MirrorSub(*session, session->subs[0], line, deadline);
     if (!response.ok()) {
       DropSession(*session);
       return ErrorResponse(response.status());
     }
-    if (!ResponseOk(response.value())) DropSession(*session);
-    return response.value();
+    if (!response->ok) DropSession(*session);
+    return std::move(response->line);
   }
 
   // Multi-camera: one sub-session per camera on that camera's owners.
@@ -667,12 +705,8 @@ std::string Coordinator::CmdOpen(const ServeRequest& req,
   int64_t total_bags = 0;
   bool resumed = false;
   for (const JsonValue& reply : replies.value()) {
-    const JsonValue* bags = reply.Find("bags");
-    if (bags != nullptr && bags->is_number()) {
-      total_bags += static_cast<int64_t>(bags->number);
-    }
-    const JsonValue* was_resumed = reply.Find("resumed");
-    if (was_resumed != nullptr && was_resumed->bool_value) resumed = true;
+    total_bags += CountOf(reply, "bags");
+    resumed = resumed || IsTrue(reply, "resumed");
   }
 
   JsonLineBuilder out;
@@ -702,39 +736,30 @@ std::string Coordinator::CmdSession(const ServeRequest& req,
         Status::NotFound("session '" + req.session_id + "' is not open"));
   }
 
-  std::string response;
-  if (!session->multi) {
-    // Single-camera: the line is relayed byte-for-byte. rank goes to the
-    // fastest live replica; the writes — and refresh, which re-pins
-    // in-memory state — are mirrored to every replica, keeping rank
-    // consistent whichever replica answers.
-    Result<std::string> relayed =
-        req.cmd == ServeCmd::kRank
-            ? CallSub(*session, session->subs[0], line, deadline,
-                      /*prefer_fastest=*/true)
-            : MirrorSub(*session, session->subs[0], line, deadline);
-    response = relayed.ok() ? std::move(relayed).value()
-                            : ErrorResponse(relayed.status());
-  } else {
+  if (session->multi) {
     switch (req.cmd) {
       case ServeCmd::kRank:
-        response = MultiRank(req, *session, deadline);
-        break;
+        return MultiRank(req, *session, deadline);
       case ServeCmd::kFeedback:
-        response = MultiFeedback(req, *session, deadline);
-        break;
+        return MultiFeedback(req, *session, deadline);
       case ServeCmd::kRefresh:
-        response = MultiRefresh(*session, deadline);
-        break;
+        return MultiRefresh(*session, deadline);
       default:
-        response = MultiSaveOrClose(req, *session, deadline);
-        break;
+        return MultiSaveOrClose(req, *session, deadline);
     }
   }
-  if (req.cmd == ServeCmd::kClose && ResponseOk(response)) {
-    DropSession(*session);
-  }
-  return response;
+  // Single-camera: the line is relayed byte-for-byte. rank goes to the
+  // fastest live replica; the writes — and refresh, which re-pins
+  // in-memory state — are mirrored to every replica, keeping rank
+  // consistent whichever replica answers.
+  Result<WorkerReply> relayed =
+      req.cmd == ServeCmd::kRank
+          ? CallSub(*session, session->subs[0], line, deadline,
+                    /*prefer_fastest=*/true)
+          : MirrorSub(*session, session->subs[0], line, deadline);
+  if (!relayed.ok()) return ErrorResponse(relayed.status());
+  if (req.cmd == ServeCmd::kClose && relayed->ok) DropSession(*session);
+  return std::move(relayed->line);
 }
 
 Result<std::vector<JsonValue>> Coordinator::FanOut(
@@ -747,10 +772,11 @@ Result<std::vector<JsonValue>> Coordinator::FanOut(
     SubSession& sub = session.subs[i];
     const std::string line = line_for(sub);
     if (line.empty()) continue;
-    Result<std::string> response = MirrorSub(session, sub, line, deadline);
+    Result<WorkerReply> response = MirrorSub(session, sub, line, deadline);
     if (!response.ok()) return response.status();
-    MIVID_ASSIGN_OR_RETURN(replies[i],
-                           ParseSubReply(cmd, sub.camera, response.value()));
+    MIVID_ASSIGN_OR_RETURN(
+        replies[i],
+        UnwrapSubReply(cmd, sub.camera, std::move(response).value()));
   }
   return replies;
 }
@@ -787,7 +813,7 @@ std::string Coordinator::MultiRank(const ServeRequest& req,
     // under coord/scatter in the stitched timeline.
     RequestChildSpan scatter_span("coord/scatter");
     AuditPhaseTimer fanout_phase(&RequestAudit::fanout_ms);
-    std::vector<std::future<Result<std::string>>> futures;
+    std::vector<std::future<Result<WorkerReply>>> futures;
     futures.reserve(session.subs.size());
     for (SubSession& sub : session.subs) {
       futures.push_back(std::async(
@@ -803,7 +829,7 @@ std::string Coordinator::MultiRank(const ServeRequest& req,
     }
 
     for (size_t i = 0; i < futures.size(); ++i) {
-      Result<std::string> response = futures[i].get();
+      Result<WorkerReply> response = futures[i].get();
       const std::string& camera = session.subs[i].camera;
       if (!response.ok()) {
         // Every replica of this camera is gone (or out of budget).
@@ -816,27 +842,13 @@ std::string Coordinator::MultiRank(const ServeRequest& req,
         continue;
       }
       Result<JsonValue> doc =
-          ParseSubReply(ServeCmd::kRank, camera, response.value());
-      if (!doc.ok()) {
-        for (size_t j = i + 1; j < futures.size(); ++j) futures[j].wait();
-        return ErrorResponse(doc.status());
-      }
-      const JsonValue* worker_total = doc.value().Find("total");
-      if (worker_total != nullptr && worker_total->is_number()) {
-        total += static_cast<int64_t>(worker_total->number);
-      }
-      const JsonValue* ranking = doc.value().Find("ranking");
+          UnwrapSubReply(ServeCmd::kRank, camera, std::move(response).value());
       std::vector<ClusterScoredBag> part;
-      if (ranking != nullptr && ranking->is_array()) {
-        part.reserve(ranking->array.size());
-        for (const JsonValue& item : ranking->array) {
-          const JsonValue* bag = item.Find("bag");
-          const JsonValue* score = item.Find("score");
-          if (bag == nullptr || score == nullptr) continue;
-          part.push_back(ClusterScoredBag{camera,
-                                          static_cast<int>(bag->number),
-                                          score->number});
-        }
+      Status read = doc.ok() ? ReadRankReply(doc.value(), camera, &part, &total)
+                             : doc.status();
+      if (!read.ok()) {
+        for (size_t j = i + 1; j < futures.size(); ++j) futures[j].wait();
+        return ErrorResponse(read);
       }
       parts.push_back(std::move(part));
     }
@@ -924,10 +936,7 @@ std::string Coordinator::MultiFeedback(const ServeRequest& req,
   if (!replies.ok()) return ErrorResponse(replies.status());
   int64_t labeled = 0;
   for (const JsonValue& reply : replies.value()) {
-    const JsonValue* count = reply.Find("labeled");
-    if (count != nullptr && count->is_number()) {
-      labeled += static_cast<int64_t>(count->number);
-    }
+    labeled += CountOf(reply, "labeled");
   }
 
   JsonLineBuilder out;
@@ -958,7 +967,10 @@ std::string Coordinator::MultiSaveOrClose(const ServeRequest& req,
       .Str("cmd", ServeCmdWireName(req.cmd))
       .Str("session", session.id)
       .Int("cameras", static_cast<int64_t>(session.subs.size()));
-  if (closing) out.Bool("journaled", !req.discard);
+  if (closing) {
+    out.Bool("journaled", !req.discard);
+    DropSession(session);
+  }
   return std::move(out).Build();
 }
 
@@ -978,18 +990,9 @@ std::string Coordinator::MultiRefresh(CoordSession& session,
     const JsonValue& reply = replies.value()[i];
     const JsonValue* epoch = reply.Find("epoch");
     epochs.Int(session.subs[i].camera,
-               epoch != nullptr && epoch->is_number()
-                   ? static_cast<int64_t>(epoch->number)
-                   : 0);
-    const JsonValue* bags = reply.Find("bags");
-    if (bags != nullptr && bags->is_number()) {
-      total_bags += static_cast<int64_t>(bags->number);
-    }
-    const JsonValue* moved = reply.Find("refreshed");
-    if (moved != nullptr && moved->type == JsonValue::Type::kBool &&
-        moved->bool_value) {
-      refreshed = true;
-    }
+               epoch != nullptr ? epoch->Int<int64_t>().value_or(0) : 0);
+    total_bags += CountOf(reply, "bags");
+    refreshed = refreshed || IsTrue(reply, "refreshed");
   }
 
   JsonLineBuilder out;
@@ -1023,10 +1026,8 @@ std::string Coordinator::CmdCameraForward(const ServeRequest& req,
       DropFromRing(primary);
       continue;
     }
-    Result<std::string> response = registry_.Call(*worker, line, deadline);
-    if (response.ok() && ParseJson(response.value()).ok()) {
-      return response.value();
-    }
+    Result<WorkerReply> response = CallWorker(*worker, line, deadline);
+    if (response.ok() && response->parsed) return std::move(response->line);
     if (response.ok()) {
       MIVID_METRIC_COUNT("cluster/malformed_replies", 1);
       registry_.MarkDead(*worker);
@@ -1121,23 +1122,21 @@ std::string Coordinator::CmdClusterStats() {
       workers_json += std::move(entry).Build();
       continue;
     }
-    Result<std::string> response =
-        registry_.Call(*worker, "{\"cmd\":\"metrics\"}", HopDeadline());
+    Result<WorkerReply> response =
+        CallWorker(*worker, "{\"cmd\":\"metrics\"}", HopDeadline());
     if (!response.ok()) {
       entry.Bool("alive", false).Str("error",
                                      response.status().message());
       workers_json += std::move(entry).Build();
       continue;
     }
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(doc.value())) {
-      entry.Bool("alive", true).Str(
-          "error", "bad metrics response: " +
-                       ResponseError(response.value()));
+    if (!response->ok) {
+      entry.Bool("alive", true)
+          .Str("error", "bad metrics response: " + response->error);
       workers_json += std::move(entry).Build();
       continue;
     }
-    const JsonValue& obj = doc.value();
+    const JsonValue& obj = response->doc;
     entry.Bool("alive", true);
     if (const JsonValue* id = obj.Find("worker");
         id != nullptr && id->is_string()) {
@@ -1150,9 +1149,10 @@ std::string Coordinator::CmdClusterStats() {
     for (const char* field :
          {"uptime_s", "sessions_open", "requests_served",
           "requests_rejected"}) {
-      if (const JsonValue* v = obj.Find(field);
-          v != nullptr && v->is_number()) {
-        entry.Int(field, static_cast<int64_t>(v->number));
+      if (const JsonValue* v = obj.Find(field)) {
+        if (const std::optional<int64_t> n = v->Int<int64_t>()) {
+          entry.Int(field, *n);
+        }
       }
     }
     const JsonValue* metrics = obj.Find("metrics");
@@ -1209,15 +1209,13 @@ std::string Coordinator::CmdTraceDump() {
   int64_t workers_dumped = 0;
   for (const auto& worker : registry_.workers()) {
     if (!worker->alive.load(std::memory_order_acquire)) continue;
-    Result<std::string> response =
-        registry_.Call(*worker, "{\"cmd\":\"trace_dump\"}", HopDeadline());
-    if (!response.ok()) continue;
-    Result<JsonValue> doc = ParseJson(response.value());
-    if (!doc.ok() || !ResponseOk(doc.value())) continue;
-    const JsonValue* trace = doc.value().Find("trace");
+    Result<WorkerReply> response =
+        CallWorker(*worker, "{\"cmd\":\"trace_dump\"}", HopDeadline());
+    if (!response.ok() || !response->ok) continue;
+    const JsonValue* trace = response->doc.Find("trace");
     if (trace == nullptr || !trace->is_object()) continue;
     ProcessTrace input;
-    const JsonValue* id = doc.value().Find("worker");
+    const JsonValue* id = response->doc.Find("worker");
     input.label = (id != nullptr && id->is_string() && !id->string.empty())
                       ? id->string
                       : worker->endpoint;

@@ -61,6 +61,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/merger.h"
 #include "cluster/placement.h"
 #include "cluster/worker_registry.h"
 #include "common/deadline.h"
@@ -98,6 +99,33 @@ struct CoordinatorOptions {
 
 /// Rejects an inconsistent option set before any socket is bound.
 Status ValidateCoordinatorOptions(const CoordinatorOptions& options);
+
+/// One worker reply, parsed once where the coordinator receives it. The
+/// bytes travel with their parse: single-camera commands relay `line`
+/// byte-for-byte, multi-camera handlers read `doc`.
+struct WorkerReply {
+  std::string line;    ///< the reply bytes as received
+  bool parsed = false; ///< `line` is one JSON document
+  JsonValue doc;       ///< its parse (null when !parsed)
+  bool ok = false;     ///< doc is {"ok":true,...}
+  /// "OK" when ok, else the reply's "code" string ("" when it has none).
+  std::string code;
+  /// When not ok: the reply's "error" string, or the whole line when it
+  /// has none. Empty when ok.
+  std::string error;
+};
+
+/// Parses `line` (ParseJson, once) and reads "ok", "code" and "error".
+/// Never fails: bytes that are not JSON come back with parsed == false.
+WorkerReply ReadWorkerReply(std::string line);
+
+/// Reads one worker's rank reply for `camera`: its ranking items,
+/// camera-tagged, into `part`, and its "total" added to `*total`. Every
+/// item needs an int "bag" (JsonValue::Int) and a finite number "score";
+/// the first that has not is DataLoss, so an unreadable item is never
+/// ranked. A missing "ranking" or "total" reads as empty / 0.
+Status ReadRankReply(const JsonValue& reply, const std::string& camera,
+                     std::vector<ClusterScoredBag>* part, int64_t* total);
 
 class Coordinator {
  public:
@@ -176,7 +204,8 @@ class Coordinator {
                          const Deadline& deadline);
 
   // Multi-camera handlers, called by CmdSession with `session.mu` held;
-  // each keeps only its own aggregation of the sub-sessions' replies.
+  // each keeps only its own aggregation of the sub-sessions' replies
+  // (and MultiSaveOrClose drops the session after a successful close).
   std::string MultiRank(const ServeRequest& req, CoordSession& session,
                         const Deadline& deadline);
   std::string MultiFeedback(const ServeRequest& req, CoordSession& session,
@@ -236,8 +265,8 @@ class Coordinator {
   /// When every current replica is gone the camera is re-placed on the
   /// ring, the sub-session re-opened on the new owners (journal
   /// resume), and the call retried there — until a live owner answers
-  /// or the ring is empty.
-  Result<std::string> CallSub(CoordSession& session, SubSession& sub,
+  /// or the ring is empty. The reply returned is always parsed.
+  Result<WorkerReply> CallSub(CoordSession& session, SubSession& sub,
                               const std::string& line,
                               const Deadline& deadline,
                               bool prefer_fastest = false);
@@ -246,9 +275,16 @@ class Coordinator {
   /// (failover rules as CallSub) and is then mirrored best-effort to
   /// the other replicas. A replica that fails its mirror is dropped
   /// from the sub's replica set (re-picked at the next failover).
-  Result<std::string> MirrorSub(CoordSession& session, SubSession& sub,
+  Result<WorkerReply> MirrorSub(CoordSession& session, SubSession& sub,
                                 const std::string& line,
                                 const Deadline& deadline);
+
+  /// registry_.Call plus ReadWorkerReply: every worker reply the
+  /// coordinator reads arrives through here, parsed once. Transport
+  /// errors are registry_.Call's; a reply that is not JSON comes back
+  /// with parsed == false for the caller to judge.
+  Result<WorkerReply> CallWorker(WorkerConn& worker, const std::string& line,
+                                 const Deadline& deadline);
 
   /// Places `camera` on up to `options_.replication` distinct live
   /// workers. FailedPrecondition when the ring is empty.

@@ -1,5 +1,7 @@
 #include "db/epoch_manifest.h"
 
+#include <optional>
+
 #include "common/file_io.h"
 #include "common/string_util.h"
 #include "obs/json.h"
@@ -33,8 +35,21 @@ Status WriteEpochManifest(const EpochManifest& manifest,
   return WriteFileAtomic(path, json);
 }
 
-Result<EpochManifest> ReadEpochManifest(const std::string& path) {
-  MIVID_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+namespace {
+
+/// A segment file must be one name inside the snapshot directory: not
+/// empty, not "." or "..", and without '/' or NUL, so snapshot_dir + "/"
+/// + file cannot leave the directory. ".." inside a longer name is a
+/// plain name: the writer emits "cam..1.seg0.mivpack" for camera "cam..1".
+bool ValidSegmentFile(const std::string& file) {
+  return !file.empty() && file != "." && file != ".." &&
+         file.find_first_of(std::string_view("/\0", 2)) == std::string::npos;
+}
+
+}  // namespace
+
+Result<EpochManifest> ParseEpochManifest(std::string_view bytes,
+                                         const std::string& path) {
   MIVID_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(bytes));
   if (!doc.is_object()) {
     return Status::Corruption("epoch manifest is not a JSON object: " + path);
@@ -48,8 +63,12 @@ Result<EpochManifest> ReadEpochManifest(const std::string& path) {
       !epoch->is_number() || segments == nullptr || !segments->is_array()) {
     return Status::Corruption("epoch manifest missing fields: " + path);
   }
+  const std::optional<uint64_t> epoch_id = epoch->Int<uint64_t>();
+  if (!epoch_id) {
+    return Status::Corruption("epoch manifest epoch malformed: " + path);
+  }
   manifest.camera_id = camera->string;
-  manifest.epoch = static_cast<uint64_t>(epoch->number);
+  manifest.epoch = *epoch_id;
 
   for (const JsonValue& entry : segments->array) {
     const JsonValue* file = entry.Find("file");
@@ -59,21 +78,38 @@ Result<EpochManifest> ReadEpochManifest(const std::string& path) {
         !clips->is_array()) {
       return Status::Corruption("epoch manifest segment malformed: " + path);
     }
+    if (!ValidSegmentFile(file->string)) {
+      return Status::Corruption("epoch manifest segment file '" +
+                                file->string +
+                                "' is not a name in the snapshot dir: " +
+                                path);
+    }
     EpochSegment seg;
     seg.file = file->string;
     for (const JsonValue& clip : clips->array) {
-      if (!clip.is_number()) {
+      const std::optional<int> clip_id = clip.Int<int>();
+      if (!clip_id) {
         return Status::Corruption("epoch manifest clip id malformed: " +
                                   path);
       }
-      seg.clip_ids.push_back(static_cast<int>(clip.number));
+      seg.clip_ids.push_back(*clip_id);
     }
-    if (bags != nullptr && bags->is_number()) {
-      seg.bag_count = static_cast<int>(bags->number);
+    if (bags != nullptr) {
+      const std::optional<int> bag_count = bags->Int<int>();
+      if (!bag_count) {
+        return Status::Corruption("epoch manifest bag count malformed: " +
+                                  path);
+      }
+      seg.bag_count = *bag_count;
     }
     manifest.segments.push_back(std::move(seg));
   }
   return manifest;
+}
+
+Result<EpochManifest> ReadEpochManifest(const std::string& path) {
+  MIVID_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  return ParseEpochManifest(bytes, path);
 }
 
 }  // namespace mivid

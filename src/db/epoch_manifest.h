@@ -14,12 +14,14 @@
 // written atomically (temp + rename):
 //   {"camera":"camA","epoch":3,
 //    "segments":[{"file":"camA.seg0.mivpack","clips":[0,1],"bags":12}]}
+// A segment "file" is a name inside the snapshot dir, never a path.
 
 #ifndef MIVID_DB_EPOCH_MANIFEST_H_
 #define MIVID_DB_EPOCH_MANIFEST_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -44,7 +46,18 @@ struct EpochManifest {
 Status WriteEpochManifest(const EpochManifest& manifest,
                           const std::string& path);
 
+/// Reads the manifest at `path`. Corruption for anything this process
+/// would not have written: a missing field, a number that is not an
+/// integer of its field's type (epoch uint64, clip ids and bags int), or
+/// a segment file that is not one name inside the snapshot dir (empty,
+/// "." or "..", or holding '/' or NUL). ParseJson's InvalidArgument for
+/// bytes that are not JSON. Callers treat any error as "no manifest".
 Result<EpochManifest> ReadEpochManifest(const std::string& path);
+
+/// ReadEpochManifest's decoder on bytes already read; `path` only names
+/// the file in error messages.
+Result<EpochManifest> ParseEpochManifest(std::string_view bytes,
+                                         const std::string& path);
 
 }  // namespace mivid
 

@@ -10,8 +10,12 @@
 #ifndef MIVID_OBS_JSON_H_
 #define MIVID_OBS_JSON_H_
 
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,6 +43,26 @@ struct JsonValue {
 
   /// First member named `key`, or nullptr (also nullptr on non-objects).
   const JsonValue* Find(std::string_view key) const;
+
+  /// The number as an integer of type T, or nullopt unless this is a
+  /// number that is integral, finite and inside T's range. The one way
+  /// a JSON number becomes an integer: converting any other double is
+  /// undefined behaviour. The upper bound is exclusive at 2^digits (2^31
+  /// for int, 2^63 for int64_t, 2^64 for uint64_t): for a 64-bit T,
+  /// (double)max rounds up to that power of two, so `number <= max`
+  /// would accept a value the conversion cannot hold.
+  template <typename T>
+  std::optional<T> Int() const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    using Limits = std::numeric_limits<T>;
+    constexpr double kMin = static_cast<double>(Limits::min());
+    constexpr double kEnd = static_cast<double>(Limits::max() / 2 + 1) * 2.0;
+    if (type != Type::kNumber || !(number >= kMin && number < kEnd) ||
+        number != std::trunc(number)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(number);
+  }
 };
 
 /// Deepest array/object nesting ParseJson accepts; every document the

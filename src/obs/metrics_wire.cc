@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/string_util.h"
 
@@ -72,12 +73,13 @@ Result<MetricsSnapshot> MetricsSnapshotFromWireJson(const JsonValue& doc) {
       return Status::InvalidArgument("metrics snapshot: counters not object");
     }
     for (const auto& [name, value] : counters->object) {
-      if (!value.is_number() || value.number < 0) {
+      const std::optional<uint64_t> count = value.Int<uint64_t>();
+      if (!count) {
         return Status::InvalidArgument(
             StrFormat("metrics snapshot: counter %s not a non-negative number",
                       name.c_str()));
       }
-      snapshot.counters[name] = static_cast<uint64_t>(value.number);
+      snapshot.counters[name] = *count;
     }
   }
   if (const JsonValue* gauges = doc.Find("gauges")) {
@@ -108,7 +110,14 @@ Result<MetricsSnapshot> MetricsSnapshotFromWireJson(const JsonValue& doc) {
         return member != nullptr && member->is_number() ? member->number
                                                         : fallback;
       };
-      stats.count = static_cast<uint64_t>(number("count", 0));
+      if (const JsonValue* count = value.Find("count")) {
+        const std::optional<uint64_t> n = count->Int<uint64_t>();
+        if (!n) {
+          return Status::InvalidArgument(StrFormat(
+              "metrics snapshot: histogram %s has a bad count", name.c_str()));
+        }
+        stats.count = *n;
+      }
       stats.sum = number("sum", 0);
       stats.min = number("min", 0);
       stats.max = number("max", 0);
@@ -123,12 +132,13 @@ Result<MetricsSnapshot> MetricsSnapshotFromWireJson(const JsonValue& doc) {
         }
         stats.buckets.reserve(buckets->array.size());
         for (const JsonValue& b : buckets->array) {
-          if (!b.is_number() || b.number < 0) {
+          const std::optional<uint64_t> n = b.Int<uint64_t>();
+          if (!n) {
             return Status::InvalidArgument(StrFormat(
                 "metrics snapshot: histogram %s has a bad bucket count",
                 name.c_str()));
           }
-          stats.buckets.push_back(static_cast<uint64_t>(b.number));
+          stats.buckets.push_back(*n);
         }
       }
       snapshot.histograms[name] = std::move(stats);

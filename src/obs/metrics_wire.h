@@ -44,7 +44,9 @@ std::string MetricsSnapshotToWireJson(const MetricsSnapshot& snapshot);
 
 /// Parses a wire JSON object (as produced by MetricsSnapshotToWireJson)
 /// back into a snapshot. Histograms missing "buckets" parse with empty
-/// buckets and merge by count/sum/min/max only.
+/// buckets and merge by count/sum/min/max only. A counter, histogram
+/// "count" or bucket that is not a uint64 (JsonValue::Int) is
+/// InvalidArgument.
 Result<MetricsSnapshot> MetricsSnapshotFromWireJson(const JsonValue& doc);
 
 /// Merges per-process snapshots into one fleet snapshot (semantics in

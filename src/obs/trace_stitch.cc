@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "common/string_util.h"
 
@@ -30,10 +31,12 @@ Result<InputInfo> Inspect(const ProcessTrace& input) {
     if (name == nullptr || name->string != "clock_sync") continue;
     const JsonValue* args = event.Find("args");
     if (args == nullptr) continue;
-    if (const JsonValue* epoch = args->Find("wall_epoch_us");
-        epoch != nullptr && epoch->is_number()) {
-      info.wall_epoch_us = static_cast<uint64_t>(epoch->number);
-      info.has_epoch = true;
+    if (const JsonValue* epoch = args->Find("wall_epoch_us")) {
+      // An epoch that is not a uint64 reads as none: no rebasing.
+      if (const std::optional<uint64_t> us = epoch->Int<uint64_t>()) {
+        info.wall_epoch_us = *us;
+        info.has_epoch = true;
+      }
     }
     if (const JsonValue* process = args->Find("process");
         process != nullptr && process->is_string() &&

@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <iterator>
-#include <limits>
+#include <optional>
 
 #include "common/string_util.h"
 #include "obs/json.h"
@@ -25,19 +25,12 @@ Result<std::string> GetString(const JsonValue& obj, std::string_view key) {
   return v->string;
 }
 
-/// True when `v` is a number holding an integer an `int` can represent;
-/// converting any other double to int is undefined behaviour.
-bool IsIntValue(const JsonValue& v) {
-  return v.is_number() && v.number == std::floor(v.number) &&
-         v.number >= std::numeric_limits<int>::min() &&
-         v.number <= std::numeric_limits<int>::max();
-}
-
 Result<int> GetInt(const JsonValue& obj, std::string_view key, int fallback) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return fallback;
-  if (!IsIntValue(*v)) return FieldError(key, "must be an integer");
-  return static_cast<int>(v->number);
+  const std::optional<int> value = v->Int<int>();
+  if (!value) return FieldError(key, "must be an integer");
+  return *value;
 }
 
 Result<bool> GetBool(const JsonValue& obj, std::string_view key,
@@ -124,8 +117,9 @@ Status CheckProtocolVersion(const JsonValue& doc) {
       "must be an integer or \"major[.minor]\" string";
   int major = 0;
   if (ver->is_number()) {
-    if (!IsIntValue(*ver)) return FieldError("v", kShape);
-    major = static_cast<int>(ver->number);
+    const std::optional<int> value = ver->Int<int>();
+    if (!value) return FieldError("v", kShape);
+    major = *value;
   } else if (ver->is_string()) {
     const std::string& s = ver->string;
     const size_t dot = s.find('.');
@@ -247,11 +241,12 @@ Status ParseIngestFields(const JsonValue& doc, ServeRequest* req) {
           return FieldError("incidents[].vehicles", "must be an array");
         }
         for (const JsonValue& v : vehicles->array) {
-          if (!IsIntValue(v)) {
+          const std::optional<int> id = v.Int<int>();
+          if (!id) {
             return FieldError("incidents[].vehicles",
                               "entries must be integers");
           }
-          incident.vehicle_ids.push_back(static_cast<int>(v.number));
+          incident.vehicle_ids.push_back(*id);
         }
       }
       req->incidents.push_back(std::move(incident));

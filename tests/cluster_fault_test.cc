@@ -26,6 +26,7 @@
 #include "db/video_db.h"
 #include "obs/json.h"
 #include "serve/client.h"
+#include "serve/line_transport.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
@@ -691,6 +692,81 @@ TEST(CoordinatorFaultTest, DeadlineMissesAreDistinguishedFromIoDeath) {
       << response.status().ToString();
   EXPECT_FALSE(worker.alive.load());
   server.Stop();
+}
+
+/// A stand-in worker that answers every line with a canned reply per
+/// command: well-formed JSON whose numbers the real protocol never sends.
+class ScriptedWorker {
+ public:
+  explicit ScriptedWorker(std::string rank_reply)
+      : rank_reply_(std::move(rank_reply)),
+        transport_(
+            [] {
+              LineTransportOptions options;
+              options.tcp_port = 0;
+              return options;
+            }(),
+            [this](const std::string& line) { return Reply(line); }) {
+    if (!transport_.Start().ok()) std::abort();
+  }
+  std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(transport_.tcp_port());
+  }
+
+ private:
+  std::string Reply(const std::string& line) const {
+    if (line.find("\"cmd\":\"rank\"") != std::string::npos) return rank_reply_;
+    if (line.find("\"cmd\":\"open\"") != std::string::npos) {
+      return R"({"ok":true,"cmd":"open","bags":1e30,"resumed":"yes"})";
+    }
+    return R"({"ok":true})";
+  }
+
+  const std::string rank_reply_;
+  LineTransport transport_;
+};
+
+// Finding: MultiRank read each ranking item's bag with a bare cast and
+// skipped none, so {"bag":"x"} ranked as bag 0 and {"bag":1e10} was an
+// undefined conversion. Such a reply now fails the rank cleanly.
+TEST(CoordinatorFaultTest, UnreadableRankItemsFailTheRankNeverReadAsBagZero) {
+  for (const char* item :
+       {R"({"bag":"x","score":0.5})", R"({"bag":1e10,"score":0.5})",
+        R"({"bag":2,"score":"high"})", R"({"bag":2})",
+        R"({"bag":2,"score":0.5})"}) {
+    SCOPED_TRACE(item);
+    const bool readable = std::string(item) == R"({"bag":2,"score":0.5})";
+    ScriptedWorker worker(
+        std::string(R"({"ok":true,"cmd":"rank","total":1,"ranking":[)") +
+        item + "]}");
+    CoordinatorOptions options;
+    options.tcp_port = 0;
+    options.workers = {worker.endpoint()};
+    Coordinator coord(options);
+    ASSERT_TRUE(coord.Start().ok());
+
+    // Unreadable counts in the open replies read as 0, a non-bool
+    // "resumed" as false.
+    const std::string opened = coord.HandleLine(
+        R"({"cmd":"open","session":"m","cameras":["camA","camB"]})");
+    const JsonValue open_doc = Parse(opened);
+    ASSERT_TRUE(IsOk(open_doc)) << opened;
+    EXPECT_EQ(open_doc.Find("bags")->number, 0) << opened;
+    EXPECT_FALSE(open_doc.Find("resumed")->bool_value) << opened;
+
+    const std::string ranked =
+        coord.HandleLine(R"({"cmd":"rank","session":"m","top":5})");
+    if (readable) {
+      EXPECT_EQ(ranked,
+                R"({"ok":true,"cmd":"rank","session":"m","cameras":2,)"
+                R"("total":2,"ranking":[{"camera":"camA","bag":2,"score":0.5},)"
+                R"({"camera":"camB","bag":2,"score":0.5}]})");
+    } else {
+      EXPECT_EQ(ResponseStatusCode(ranked), "DATA_LOSS") << ranked;
+      EXPECT_EQ(ranked.find("\"bag\":0"), std::string::npos) << ranked;
+    }
+    coord.Stop();
+  }
 }
 
 }  // namespace

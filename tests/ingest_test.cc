@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "db/epoch_manifest.h"
 #include "db/query_engine.h"
 #include "db/video_db.h"
 #include "event/features.h"
@@ -484,6 +485,58 @@ TEST(CorpusManagerTest, ColdRestoreFromSegmentsMatchesExtraction) {
   auto extracted = scratch.Snapshot("camR");
   ASSERT_TRUE(extracted.ok());
   ExpectCorpusBitIdentical(Merged(*extracted.value()), Merged(*published));
+}
+
+// Finding: ReadEpochManifest took any segment "file", so a manifest
+// naming "../<dir>/<seg>" made the cold load read a segment from outside
+// the snapshot dir. Such a manifest is now corrupt: the camera's clips
+// are extracted again, and the segment outside is never read.
+TEST(CorpusManagerTest, ManifestSegmentOutsideSnapshotDirIsReExtracted) {
+  TempDir db_dir("mivid_ingest_escape_db");
+  TempDir snap_dir("mivid_ingest_escape_snap");
+  TempDir outside("mivid_ingest_escape_outside");
+  fs::create_directories(snap_dir.path());
+  fs::create_directories(outside.path());
+  VideoDbOptions db_options;
+  db_options.create_if_missing = true;
+  auto opened = VideoDb::Open(db_dir.path(), db_options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<VideoDb> db = std::move(opened).value();
+  const GroundTruth gt = SimulateTunnel(400, /*seed=*/15);
+  ClipInfo info;
+  info.camera_id = "camE";
+  info.total_frames = gt.total_frames;
+  ASSERT_TRUE(db->IngestClip(info, gt.tracks, gt.incidents).ok());
+
+  const QueryOptions query;
+  {
+    CorpusManager corpora(db.get(), query, snap_dir.path());
+    ASSERT_TRUE(corpora.Snapshot("camE").ok());
+  }
+  const std::string manifest_path = snap_dir.path() + "/camE.manifest.json";
+  auto manifest = ReadEpochManifest(manifest_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->segments.size(), 1u);
+  // Move the (valid) segment out of the snapshot dir and point the
+  // manifest at it through "..".
+  EpochManifest escaped = manifest.value();
+  EpochSegment& seg = escaped.segments[0];
+  const std::string outside_name =
+      fs::path(outside.path()).filename().string() + "/" + seg.file;
+  fs::rename(snap_dir.path() + "/" + seg.file,
+             outside.path() + "/" + seg.file);
+  seg.file = "../" + outside_name;
+  ASSERT_TRUE(WriteEpochManifest(escaped, manifest_path).ok());
+  EXPECT_TRUE(ReadEpochManifest(manifest_path).status().IsCorruption());
+
+  CorpusManager restored(db.get(), query, snap_dir.path());
+  auto epoch = restored.Snapshot("camE");
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(restored.stats().snapshot_hits, 0u);
+  CorpusManager scratch(db.get(), query);
+  auto extracted = scratch.Snapshot("camE");
+  ASSERT_TRUE(extracted.ok());
+  ExpectCorpusBitIdentical(Merged(*epoch.value()), Merged(*extracted.value()));
 }
 
 TEST(CorpusManagerTest, PublishRefusesClipsOfAnotherInstanceDimension) {
