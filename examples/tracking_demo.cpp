@@ -11,7 +11,6 @@
 
 #include "segment/segmenter.h"
 #include "track/tracker.h"
-#include "track/vehicle_classifier.h"
 #include "trafficsim/renderer.h"
 #include "trafficsim/scenarios.h"
 #include "video/draw.h"

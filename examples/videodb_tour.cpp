@@ -1,9 +1,8 @@
 // VideoDb tour: the database layer end to end.
 //
 // Creates an on-disk surveillance video database, ingests simulated clips
-// from two cameras, reopens the database, runs a per-camera accident query
-// through the QueryEngine, and persists the learned One-class SVM model so
-// a later session can resume the user's customized query.
+// from two cameras, reopens the database and runs a per-camera accident
+// query through the QueryEngine.
 //
 // Output database directory: ./mivid_tour_db
 
@@ -12,7 +11,6 @@
 #include "db/query_engine.h"
 #include "db/video_db.h"
 #include "eval/metrics.h"
-#include "retrieval/mil_rf_engine.h"
 #include "trafficsim/scenarios.h"
 
 using namespace mivid;
@@ -120,22 +118,6 @@ int main() {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-  }
-
-  // --- Persist the user's learned query model for the next session. ---
-  // Only the MIL-RF engine has a one-class SVM worth saving.
-  const auto* mil =
-      dynamic_cast<const MilRfEngine*>(&session->engine());
-  if (mil != nullptr && mil->model() != nullptr) {
-    const Status s =
-        db.value()->SaveModel("accidents_cam_tunnel_07", *mil->model());
-    std::printf("\nsaved learned model '%s': %s\n", "accidents_cam_tunnel_07",
-                s.ToString().c_str());
-    Result<OneClassSvmModel> loaded =
-        db.value()->LoadModel("accidents_cam_tunnel_07");
-    std::printf("reloaded model: %zu support vectors, rho=%.4f\n",
-                loaded.ok() ? loaded->num_support_vectors() : 0,
-                loaded.ok() ? loaded->rho() : 0.0);
   }
   return 0;
 }

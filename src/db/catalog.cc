@@ -1,6 +1,7 @@
 #include "db/catalog.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/string_util.h"
@@ -106,6 +107,12 @@ Result<Catalog> Catalog::Deserialize(const std::string& bytes) {
   }
   MIVID_RETURN_IF_ERROR(dec.GetFixed32(&next_id));
   MIVID_RETURN_IF_ERROR(dec.GetFixed32(&count));
+  // Add() hands out next_id, so every stored id must lie below it, or the
+  // next ingest would overwrite a stored clip and its files. Ids are ints.
+  if (next_id > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    return Status::Corruption(
+        StrFormat("catalog next_id %u is out of range", next_id));
+  }
 
   Catalog catalog;
   catalog.next_id_ = static_cast<int>(next_id);
@@ -122,12 +129,19 @@ Result<Catalog> Catalog::Deserialize(const std::string& bytes) {
     MIVID_RETURN_IF_ERROR(dec.GetFixed32(&h));
     MIVID_RETURN_IF_ERROR(dec.GetFixed32(&frames));
     MIVID_RETURN_IF_ERROR(dec.GetLengthPrefixed(&info.scenario));
+    if (id >= next_id) {
+      return Status::Corruption(StrFormat(
+          "catalog clip id %u is not below next_id %u", id, next_id));
+    }
     info.clip_id = static_cast<int>(id);
     info.start_time_ms = static_cast<int64_t>(start);
     info.width = static_cast<int>(w);
     info.height = static_cast<int>(h);
     info.total_frames = static_cast<int>(frames);
-    catalog.clips_[info.clip_id] = std::move(info);
+    if (!catalog.clips_.emplace(info.clip_id, std::move(info)).second) {
+      return Status::Corruption(
+          StrFormat("catalog holds clip id %u twice", id));
+    }
   }
   return catalog;
 }

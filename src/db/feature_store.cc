@@ -1,5 +1,7 @@
 #include "db/feature_store.h"
 
+#include <string>
+
 #include "db/codec.h"
 
 namespace mivid {
@@ -8,6 +10,12 @@ namespace {
 constexpr uint32_t kTracksMagic = 0x534b5254u;     // "TRKS"
 constexpr uint32_t kIncidentsMagic = 0x53434e49u;  // "INCS"
 constexpr uint32_t kVersion = 1;
+
+// Encoded bytes of each record's fixed part.
+constexpr size_t kTrackBytes = 8;      // id, point count
+constexpr size_t kPointBytes = 52;     // frame, centroid, bbox
+constexpr size_t kIncidentBytes = 16;  // type, begin, end, vehicle count
+constexpr size_t kVehicleIdBytes = 4;
 
 std::string Envelope(uint32_t magic, const std::string& body) {
   std::string out;
@@ -27,6 +35,17 @@ Result<std::string_view> OpenEnvelope(uint32_t magic,
   const std::string_view body(bytes.data() + 8, bytes.size() - 8);
   if (Crc32c(body) != crc) return Status::Corruption("checksum mismatch");
   return body;
+}
+
+/// Refuses a record count that the bytes left cannot hold at `min_bytes`
+/// per record, so no allocation is sized from a count alone.
+Status CheckCount(uint32_t count, size_t min_bytes, const Decoder& dec,
+                  const char* what) {
+  if (count > dec.remaining() / min_bytes) {
+    return Status::Corruption(std::string(what) + " count " +
+                              std::to_string(count) + " exceeds the record");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -59,11 +78,13 @@ Result<std::vector<Track>> DeserializeTracks(const std::string& bytes) {
   MIVID_RETURN_IF_ERROR(dec.GetFixed32(&version));
   if (version != kVersion) return Status::NotSupported("unknown version");
   MIVID_RETURN_IF_ERROR(dec.GetFixed32(&count));
+  MIVID_RETURN_IF_ERROR(CheckCount(count, kTrackBytes, dec, "track"));
   std::vector<Track> tracks(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t id, npoints;
     MIVID_RETURN_IF_ERROR(dec.GetFixed32(&id));
     MIVID_RETURN_IF_ERROR(dec.GetFixed32(&npoints));
+    MIVID_RETURN_IF_ERROR(CheckCount(npoints, kPointBytes, dec, "point"));
     tracks[i].id = static_cast<int>(id);
     tracks[i].points.resize(npoints);
     for (uint32_t j = 0; j < npoints; ++j) {
@@ -108,6 +129,7 @@ Result<std::vector<IncidentRecord>> DeserializeIncidents(
   MIVID_RETURN_IF_ERROR(dec.GetFixed32(&version));
   if (version != kVersion) return Status::NotSupported("unknown version");
   MIVID_RETURN_IF_ERROR(dec.GetFixed32(&count));
+  MIVID_RETURN_IF_ERROR(CheckCount(count, kIncidentBytes, dec, "incident"));
   std::vector<IncidentRecord> incidents(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t type, begin, end, nveh;
@@ -118,6 +140,7 @@ Result<std::vector<IncidentRecord>> DeserializeIncidents(
     if (type > static_cast<uint32_t>(IncidentType::kSpeeding)) {
       return Status::Corruption("invalid incident type");
     }
+    MIVID_RETURN_IF_ERROR(CheckCount(nveh, kVehicleIdBytes, dec, "vehicle"));
     incidents[i].type = static_cast<IncidentType>(type);
     incidents[i].begin_frame = static_cast<int>(begin);
     incidents[i].end_frame = static_cast<int>(end);

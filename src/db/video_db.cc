@@ -14,7 +14,6 @@
 #include "common/fault.h"
 #include "common/file_io.h"
 #include "common/string_util.h"
-#include "svm/model_io.h"
 
 namespace mivid {
 
@@ -72,10 +71,6 @@ std::string VideoDb::VideoPath(int clip_id) const {
   return StrFormat("%s/clip_%d.vid", path_.c_str(), clip_id);
 }
 
-std::string VideoDb::ModelPath(const std::string& name) const {
-  return path_ + "/model_" + name + ".svm";
-}
-
 Status VideoDb::SaveClipVideo(int clip_id, const VideoClip& video) {
   MIVID_RETURN_IF_ERROR(catalog_.Get(clip_id).status());
   return WriteFileAtomic(VideoPath(clip_id), SerializeFrames(video));
@@ -128,27 +123,6 @@ Result<ClipRecord> VideoDb::LoadClip(int clip_id) const {
     MIVID_ASSIGN_OR_RETURN(record.incidents, DeserializeIncidents(bytes));
   }
   return record;
-}
-
-Status VideoDb::DeleteClip(int clip_id) {
-  MIVID_RETURN_IF_ERROR(catalog_.Remove(clip_id));
-  std::remove(TracksPath(clip_id).c_str());
-  std::remove(IncidentsPath(clip_id).c_str());
-  std::remove(VideoPath(clip_id).c_str());
-  return PersistCatalog();
-}
-
-Status VideoDb::SaveModel(const std::string& name,
-                          const OneClassSvmModel& model) {
-  return WriteFileAtomic(ModelPath(name), SerializeOneClassSvm(model));
-}
-
-Result<OneClassSvmModel> VideoDb::LoadModel(const std::string& name) const {
-  Result<std::string> bytes = ReadFileToString(ModelPath(name));
-  if (!bytes.ok()) {
-    return Status::NotFound("no model named '" + name + "'");
-  }
-  return DeserializeOneClassSvm(bytes.value());
 }
 
 std::string VideoDb::SessionPath(const std::string& name) const {
@@ -247,20 +221,6 @@ std::vector<std::string> VideoDb::ListSessions() const {
     const std::string file = entry.path().filename().string();
     if (StartsWith(file, "session_") && EndsWith(file, ".rfs")) {
       names.push_back(file.substr(8, file.size() - 8 - 4));
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-std::vector<std::string> VideoDb::ListModels() const {
-  namespace fs = std::filesystem;
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(path_, ec)) {
-    const std::string file = entry.path().filename().string();
-    if (StartsWith(file, "model_") && EndsWith(file, ".svm")) {
-      names.push_back(file.substr(6, file.size() - 6 - 4));
     }
   }
   std::sort(names.begin(), names.end());

@@ -4,7 +4,6 @@
 //   CATALOG           clip metadata index
 //   clip_<id>.trk     tracked trajectories
 //   clip_<id>.inc     incident annotations
-//   model_<name>.svm  saved one-class SVM models (per-user query models)
 //
 // All writes are atomic (write-to-temp + rename); all files carry CRC32C
 // envelopes and are verified on read.
@@ -21,7 +20,6 @@
 #include "db/feature_store.h"
 #include "db/frame_store.h"
 #include "db/session_store.h"
-#include "svm/one_class_svm.h"
 
 namespace mivid {
 
@@ -53,9 +51,6 @@ class VideoDb {
   /// Loads a clip's full record.
   Result<ClipRecord> LoadClip(int clip_id) const;
 
-  /// Deletes a clip (catalog entry and payload files).
-  Status DeleteClip(int clip_id);
-
   /// Catalog queries.
   std::vector<ClipInfo> ListClips() const { return catalog_.List(); }
   std::vector<std::string> Cameras() const { return catalog_.Cameras(); }
@@ -74,11 +69,6 @@ class VideoDb {
   /// True when clip_id has stored video.
   bool HasClipVideo(int clip_id) const;
 
-  /// Persisted per-user query models.
-  Status SaveModel(const std::string& name, const OneClassSvmModel& model);
-  Result<OneClassSvmModel> LoadModel(const std::string& name) const;
-  std::vector<std::string> ListModels() const;
-
   /// Persisted relevance-feedback sessions (resume across runs).
   Status SaveSession(const std::string& name, const SessionState& state);
   Result<SessionState> LoadSession(const std::string& name) const;
@@ -93,7 +83,6 @@ class VideoDb {
   std::string TracksPath(int clip_id) const;
   std::string IncidentsPath(int clip_id) const;
   std::string VideoPath(int clip_id) const;
-  std::string ModelPath(const std::string& name) const;
   std::string SessionPath(const std::string& name) const;
 
   std::string path_;

@@ -52,48 +52,6 @@ Result<Vec> CholeskySolve(const Matrix& a, const Vec& b) {
   return x;
 }
 
-Result<Vec> GaussianSolve(const Matrix& a, const Vec& b) {
-  if (a.rows() != a.cols() || a.rows() != b.size()) {
-    return Status::InvalidArgument("dimension mismatch in GaussianSolve");
-  }
-  const size_t n = a.rows();
-  Matrix m = a;
-  Vec rhs = b;
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    size_t piv = col;
-    double best = std::fabs(m.At(col, col));
-    for (size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(m.At(r, col));
-      if (v > best) {
-        best = v;
-        piv = r;
-      }
-    }
-    if (best < 1e-12) {
-      return Status::InvalidArgument(
-          StrFormat("singular matrix at column %zu", col));
-    }
-    if (piv != col) {
-      for (size_t c = 0; c < n; ++c) std::swap(m.At(piv, c), m.At(col, c));
-      std::swap(rhs[piv], rhs[col]);
-    }
-    for (size_t r = col + 1; r < n; ++r) {
-      const double f = m.At(r, col) / m.At(col, col);
-      if (f == 0.0) continue;
-      for (size_t c = col; c < n; ++c) m.At(r, c) -= f * m.At(col, c);
-      rhs[r] -= f * rhs[col];
-    }
-  }
-  Vec x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double s = rhs[ii];
-    for (size_t c = ii + 1; c < n; ++c) s -= m.At(ii, c) * x[c];
-    x[ii] = s / m.At(ii, ii);
-  }
-  return x;
-}
-
 Result<Vec> LeastSquaresQR(const Matrix& a, const Vec& b) {
   const size_t m = a.rows(), n = a.cols();
   if (m < n) {

@@ -1,9 +1,9 @@
 // Linear system and least-squares solvers.
 //
 // The trajectory fitter (Sec. 3.2 of the paper, Eq. 1-2) solves an
-// overdetermined Vandermonde system. We provide both the normal-equations
-// path (Cholesky) and a numerically safer Householder-QR path; the fitter
-// uses QR by default and callers can select Cholesky for speed.
+// overdetermined Vandermonde system by Householder QR. The
+// normal-equations path (Cholesky) is kept as the reference the QR
+// solver is tested against.
 
 #ifndef MIVID_LINALG_SOLVE_H_
 #define MIVID_LINALG_SOLVE_H_
@@ -20,10 +20,6 @@ Result<Matrix> CholeskyFactor(const Matrix& a);
 
 /// Solves A x = b for SPD A via Cholesky.
 Result<Vec> CholeskySolve(const Matrix& a, const Vec& b);
-
-/// Solves the general square system A x = b via Gaussian elimination with
-/// partial pivoting. Fails with InvalidArgument on (near-)singular A.
-Result<Vec> GaussianSolve(const Matrix& a, const Vec& b);
 
 /// Least-squares solution of min |A x - b|_2 via Householder QR.
 /// Requires rows >= cols and full column rank.

@@ -63,8 +63,6 @@ class OneClassSvmModel {
 
  private:
   friend class OneClassSvmTrainer;
-  friend Result<OneClassSvmModel> DeserializeOneClassSvm(
-      const std::string& bytes);
 
   KernelParams kernel_;
   std::vector<Vec> support_vectors_;

@@ -25,8 +25,7 @@ Polynomial Polynomial::Derivative() const {
   return Polynomial(std::move(d), shift_, scale_);
 }
 
-Result<Polynomial> FitPolynomial(const Vec& xs, const Vec& ys, int degree,
-                                 FitMethod method) {
+Result<Polynomial> FitPolynomial(const Vec& xs, const Vec& ys, int degree) {
   if (degree < 0) return Status::InvalidArgument("degree must be >= 0");
   if (xs.size() != ys.size()) {
     return Status::InvalidArgument("xs and ys must have equal length");
@@ -68,14 +67,12 @@ Result<Polynomial> FitPolynomial(const Vec& xs, const Vec& ys, int degree,
     }
   }
 
-  Result<Vec> coeffs = method == FitMethod::kQR ? LeastSquaresQR(a, ys)
-                                                : LeastSquaresNormal(a, ys);
+  Result<Vec> coeffs = LeastSquaresQR(a, ys);
   if (!coeffs.ok()) return coeffs.status();
   return Polynomial(std::move(coeffs).value(), shift, scale);
 }
 
-Result<FittedTrajectory> FitTrack(const Track& track, int degree,
-                                  FitMethod method) {
+Result<FittedTrajectory> FitTrack(const Track& track, int degree) {
   const size_t n = track.points.size();
   if (n < static_cast<size_t>(degree) + 1) {
     return Status::InvalidArgument(
@@ -89,8 +86,8 @@ Result<FittedTrajectory> FitTrack(const Track& track, int degree,
     ys[i] = track.points[i].centroid.y;
   }
   FittedTrajectory fit;
-  MIVID_ASSIGN_OR_RETURN(fit.x_of_t, FitPolynomial(ts, xs, degree, method));
-  MIVID_ASSIGN_OR_RETURN(fit.y_of_t, FitPolynomial(ts, ys, degree, method));
+  MIVID_ASSIGN_OR_RETURN(fit.x_of_t, FitPolynomial(ts, xs, degree));
+  MIVID_ASSIGN_OR_RETURN(fit.y_of_t, FitPolynomial(ts, ys, degree));
 
   double sq = 0.0;
   for (size_t i = 0; i < n; ++i) {

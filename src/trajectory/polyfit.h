@@ -47,17 +47,11 @@ class Polynomial {
   double scale_ = 1.0;
 };
 
-/// Fitting backend selection.
-enum class FitMethod {
-  kQR,      ///< Householder QR on the Vandermonde matrix (default, stable)
-  kNormal,  ///< normal equations + Cholesky (Eq. 2 literally; faster)
-};
-
 /// Fits a degree-`degree` polynomial to the samples (xs[i], ys[i]).
 /// Requires xs.size() == ys.size() >= degree + 1 and non-degenerate xs.
-/// Abscissae are centered and scaled internally for conditioning.
-Result<Polynomial> FitPolynomial(const Vec& xs, const Vec& ys, int degree,
-                                 FitMethod method = FitMethod::kQR);
+/// Abscissae are centered and scaled internally for conditioning, and the
+/// Vandermonde system (Eq. 2) is solved by Householder QR.
+Result<Polynomial> FitPolynomial(const Vec& xs, const Vec& ys, int degree);
 
 /// A planar trajectory fitted as x(t), y(t) against the frame index.
 struct FittedTrajectory {
@@ -76,8 +70,7 @@ struct FittedTrajectory {
 
 /// Fits a track's centroids with degree-`degree` polynomials in time.
 /// Requires at least degree+1 points.
-Result<FittedTrajectory> FitTrack(const Track& track, int degree,
-                                  FitMethod method = FitMethod::kQR);
+Result<FittedTrajectory> FitTrack(const Track& track, int degree);
 
 }  // namespace mivid
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -243,41 +244,68 @@ TEST(VideoDbTest, IngestLoadPersistAcrossReopen) {
   EXPECT_EQ(record->incidents.size(), 1u);
 }
 
-TEST(VideoDbTest, DeleteClipRemovesEverything) {
-  TempDir dir("mivid_db_delete");
+// Databases written while `mivid_cli query` still saved its SVM model
+// hold a model_<name>.svm file next to the clips. Nothing reads it now:
+// the database opens, lists the same clips and serves the same corpus.
+TEST(VideoDbTest, OpensWithALeftoverSavedModelFile) {
+  TempDir dir("mivid_db_leftover_model");
   VideoDbOptions options;
   options.create_if_missing = true;
-  auto db = VideoDb::Open(dir.path(), options);
-  ASSERT_TRUE(db.ok());
-  ClipInfo info;
-  info.camera_id = "cam";
-  ASSERT_TRUE(db.value()->IngestClip(info, MakeTracks(), {}).ok());
-  ASSERT_TRUE(db.value()->DeleteClip(0).ok());
-  EXPECT_TRUE(db.value()->LoadClip(0).status().IsNotFound());
-  EXPECT_TRUE(db.value()->DeleteClip(0).IsNotFound());
-}
+  TunnelScenarioOptions scenario_options;
+  scenario_options.total_frames = 500;
+  const ScenarioSpec scenario = MakeTunnelScenario(scenario_options);
+  const GroundTruth gt = TrafficWorld(scenario).Run();
+  QueryOptions query;
+  std::vector<ClipInfo> clips_before;
+  std::map<int, BagLabel> truth_before;
+  std::vector<int> ranking_before;
+  {
+    auto db = VideoDb::Open(dir.path(), options);
+    ASSERT_TRUE(db.ok());
+    ClipInfo info;
+    info.camera_id = "cam-9";
+    info.total_frames = scenario.total_frames;
+    ASSERT_TRUE(db.value()->IngestClip(info, gt.tracks, gt.incidents).ok());
+    ASSERT_TRUE(db.value()->IngestClip(info, MakeTracks(), MakeIncidents()).ok());
+    clips_before = db.value()->ListClips();
+    Result<CameraCorpus> corpus =
+        QueryEngine(db.value().get()).BuildCorpus("cam-9", query);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+    truth_before = corpus->truth;
+    Result<RetrievalSession> session =
+        RetrievalSession::Create(corpus->dataset, SessionOptionsFor(query));
+    ASSERT_TRUE(session.ok());
+    ranking_before = session->TopBags();
+  }
+  // An old model file's magic ("OVSM"), checksum word and version; the
+  // rest does not matter because no reader is left.
+  {
+    std::FILE* f =
+        std::fopen((dir.path() + "/model_accidents_cam-9.svm").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char bytes[] = "OVSM\0\0\0\0\x01\0\0\0leftover model body";
+    ASSERT_EQ(std::fwrite(bytes, 1, sizeof(bytes), f), sizeof(bytes));
+    std::fclose(f);
+  }
 
-TEST(VideoDbTest, ModelPersistence) {
-  TempDir dir("mivid_db_models");
-  VideoDbOptions options;
-  options.create_if_missing = true;
+  options.create_if_missing = false;
   auto db = VideoDb::Open(dir.path(), options);
-  ASSERT_TRUE(db.ok());
-
-  OneClassSvmOptions svm_options;
-  svm_options.nu = 0.3;
-  Result<OneClassSvmModel> model = OneClassSvmTrainer(svm_options)
-                                       .Train({{0.1, 0.2}, {0.2, 0.1},
-                                               {0.15, 0.15}, {0.12, 0.22}});
-  ASSERT_TRUE(model.ok());
-  ASSERT_TRUE(db.value()->SaveModel("accident_query", model.value()).ok());
-  EXPECT_EQ(db.value()->ListModels(),
-            (std::vector<std::string>{"accident_query"}));
-  Result<OneClassSvmModel> back = db.value()->LoadModel("accident_query");
-  ASSERT_TRUE(back.ok());
-  EXPECT_DOUBLE_EQ(back->DecisionValue({0.15, 0.15}),
-                   model->DecisionValue({0.15, 0.15}));
-  EXPECT_TRUE(db.value()->LoadModel("nope").status().IsNotFound());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::vector<ClipInfo> clips = db.value()->ListClips();
+  ASSERT_EQ(clips.size(), clips_before.size());
+  for (size_t i = 0; i < clips.size(); ++i) {
+    EXPECT_EQ(clips[i].clip_id, clips_before[i].clip_id);
+    EXPECT_EQ(clips[i].camera_id, clips_before[i].camera_id);
+    EXPECT_EQ(clips[i].total_frames, clips_before[i].total_frames);
+  }
+  Result<CameraCorpus> corpus =
+      QueryEngine(db.value().get()).BuildCorpus("cam-9", query);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(corpus->truth, truth_before);
+  Result<RetrievalSession> session =
+      RetrievalSession::Create(corpus->dataset, SessionOptionsFor(query));
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(session->TopBags(), ranking_before);
 }
 
 TEST(QueryEngineTest, BuildsCorpusFromStoredClipsAndRunsSession) {

@@ -122,9 +122,6 @@ TEST(FrameStoreTest, VideoDbSaveLoadHasDelete) {
   Result<VideoClip> back = db.value()->LoadClipVideo(id.value());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->frame_count(), 10u);
-
-  ASSERT_TRUE(db.value()->DeleteClip(id.value()).ok());
-  EXPECT_FALSE(db.value()->HasClipVideo(id.value()));
   std::filesystem::remove_all(dir);
 }
 

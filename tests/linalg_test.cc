@@ -1,13 +1,11 @@
-// Tests for linalg/: matrix ops, solvers, eigen decomposition, PCA, stats.
+// Tests for linalg/: matrix ops, solvers, stats.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "linalg/eigen.h"
 #include "linalg/matrix.h"
-#include "linalg/pca.h"
 #include "linalg/solve.h"
 #include "linalg/stats.h"
 
@@ -85,21 +83,6 @@ TEST(CholeskyTest, RejectsNonSpd) {
   EXPECT_FALSE(CholeskyFactor(rect).ok());
 }
 
-TEST(GaussianSolveTest, SolvesGeneralSystem) {
-  Matrix a = Matrix::FromRows({{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}});
-  Result<Vec> x = GaussianSolve(a, {-8, 0, 3});
-  ASSERT_TRUE(x.ok());
-  const Vec b = a.Multiply(x.value());
-  EXPECT_NEAR(b[0], -8.0, 1e-10);
-  EXPECT_NEAR(b[1], 0.0, 1e-10);
-  EXPECT_NEAR(b[2], 3.0, 1e-10);
-}
-
-TEST(GaussianSolveTest, RejectsSingular) {
-  Matrix a = Matrix::FromRows({{1, 2}, {2, 4}});
-  EXPECT_FALSE(GaussianSolve(a, {1, 2}).ok());
-}
-
 TEST(LeastSquaresTest, ExactSystemRecovered) {
   // Overdetermined but consistent.
   Matrix a = Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}});
@@ -147,108 +130,6 @@ TEST(LeastSquaresTest, ResidualIsOrthogonalToColumns) {
 TEST(LeastSquaresTest, RejectsUnderdetermined) {
   Matrix a(2, 3);
   EXPECT_FALSE(LeastSquaresQR(a, {1, 2}).ok());
-}
-
-TEST(JacobiEigenTest, DiagonalMatrix) {
-  Matrix a = Matrix::FromRows({{3, 0}, {0, 1}});
-  Result<EigenDecomposition> eig = JacobiEigen(a);
-  ASSERT_TRUE(eig.ok());
-  EXPECT_NEAR(eig->values[0], 3.0, 1e-10);
-  EXPECT_NEAR(eig->values[1], 1.0, 1e-10);
-}
-
-TEST(JacobiEigenTest, KnownSymmetricMatrix) {
-  // Eigenvalues of [[2,1],[1,2]] are 3 and 1.
-  Matrix a = Matrix::FromRows({{2, 1}, {1, 2}});
-  Result<EigenDecomposition> eig = JacobiEigen(a);
-  ASSERT_TRUE(eig.ok());
-  EXPECT_NEAR(eig->values[0], 3.0, 1e-10);
-  EXPECT_NEAR(eig->values[1], 1.0, 1e-10);
-  // Eigenvector for 3 is (1,1)/sqrt(2) up to sign.
-  const double v0 = eig->vectors.At(0, 0), v1 = eig->vectors.At(1, 0);
-  EXPECT_NEAR(std::fabs(v0), std::sqrt(0.5), 1e-8);
-  EXPECT_NEAR(v0, v1, 1e-8);
-}
-
-TEST(JacobiEigenTest, ReconstructsMatrix) {
-  Rng rng(7);
-  const size_t n = 6;
-  Matrix a(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-      a.At(i, j) = a.At(j, i) = rng.Gaussian();
-    }
-  }
-  Result<EigenDecomposition> eig = JacobiEigen(a);
-  ASSERT_TRUE(eig.ok());
-  // V diag(w) V^T == A.
-  Matrix d(n, n);
-  for (size_t i = 0; i < n; ++i) d.At(i, i) = eig->values[i];
-  const Matrix recon =
-      eig->vectors.Multiply(d).Multiply(eig->vectors.Transpose());
-  EXPECT_LT(recon.MaxAbsDiff(a), 1e-8);
-}
-
-TEST(JacobiEigenTest, VectorsAreOrthonormal) {
-  Rng rng(8);
-  const size_t n = 5;
-  Matrix a(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) a.At(i, j) = a.At(j, i) = rng.Gaussian();
-  }
-  Result<EigenDecomposition> eig = JacobiEigen(a);
-  ASSERT_TRUE(eig.ok());
-  const Matrix vtv =
-      eig->vectors.Transpose().Multiply(eig->vectors);
-  EXPECT_LT(vtv.MaxAbsDiff(Matrix::Identity(n)), 1e-9);
-}
-
-TEST(PcaTest, RecoversDominantDirection) {
-  // Points along (1, 1) with small orthogonal noise.
-  Rng rng(9);
-  std::vector<Vec> rows;
-  for (int i = 0; i < 200; ++i) {
-    const double t = rng.Gaussian() * 10.0;
-    const double noise = rng.Gaussian() * 0.1;
-    rows.push_back({t + noise, t - noise});
-  }
-  Result<PcaModel> pca = PcaModel::Fit(rows, 1);
-  ASSERT_TRUE(pca.ok());
-  const Vec c = pca->Component(0);
-  EXPECT_NEAR(std::fabs(c[0]), std::sqrt(0.5), 0.01);
-  EXPECT_NEAR(c[0] * c[1], 0.5, 0.02);  // same sign components
-  EXPECT_GT(pca->explained_variance_ratio()[0], 0.99);
-}
-
-TEST(PcaTest, ProjectReconstructRoundtripFullRank) {
-  Rng rng(10);
-  std::vector<Vec> rows;
-  for (int i = 0; i < 50; ++i) {
-    rows.push_back({rng.Gaussian(), rng.Gaussian(), rng.Gaussian()});
-  }
-  Result<PcaModel> pca = PcaModel::Fit(rows, 3);
-  ASSERT_TRUE(pca.ok());
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_NEAR(pca->ReconstructionError(rows[static_cast<size_t>(i)]), 0.0,
-                1e-16);
-  }
-}
-
-TEST(PcaTest, ReconstructionErrorGrowsOffSubspace) {
-  std::vector<Vec> rows;
-  for (int i = 0; i < 20; ++i) {
-    rows.push_back({static_cast<double>(i), 0.0});
-  }
-  Result<PcaModel> pca = PcaModel::Fit(rows, 1);
-  ASSERT_TRUE(pca.ok());
-  EXPECT_NEAR(pca->ReconstructionError({5.0, 0.0}), 0.0, 1e-12);
-  EXPECT_NEAR(pca->ReconstructionError({5.0, 2.0}), 4.0, 1e-9);
-}
-
-TEST(PcaTest, RejectsBadArguments) {
-  EXPECT_FALSE(PcaModel::Fit({{1.0, 2.0}}, 1).ok());        // too few rows
-  EXPECT_FALSE(PcaModel::Fit({{1.0}, {2.0}}, 2).ok());      // too many comps
-  EXPECT_FALSE(PcaModel::Fit({{1.0}, {2.0, 3.0}}, 1).ok()); // ragged
 }
 
 TEST(StatsTest, MeanVarianceStdDev) {

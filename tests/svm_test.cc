@@ -1,15 +1,12 @@
-// Tests for svm/: kernels, the one-class SMO solver (Eq. 7-8), model I/O.
+// Tests for svm/: kernels and the one-class SMO solver (Eq. 7-8).
 // Includes parameterized property sweeps over the nu parameter.
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "svm/kernel.h"
-#include "svm/model_io.h"
 #include "svm/one_class_svm.h"
 
 namespace mivid {
@@ -189,55 +186,6 @@ TEST(OneClassSvmTest, LinearKernelWorksToo) {
   ASSERT_TRUE(model.ok());
   EXPECT_GT(model->DecisionValue({5.0, 5.0}),
             model->DecisionValue({-5.0, -5.0}));
-}
-
-TEST(ModelIoTest, SerializeDeserializeRoundtrip) {
-  const auto train = GaussianCloud(25, 0, 0, 1.0, 43);
-  OneClassSvmOptions options;
-  options.nu = 0.3;
-  options.kernel.sigma = 0.7;
-  Result<OneClassSvmModel> model = OneClassSvmTrainer(options).Train(train);
-  ASSERT_TRUE(model.ok());
-
-  const std::string bytes = SerializeOneClassSvm(model.value());
-  Result<OneClassSvmModel> back = DeserializeOneClassSvm(bytes);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->num_support_vectors(), model->num_support_vectors());
-  EXPECT_DOUBLE_EQ(back->rho(), model->rho());
-  // Decision function is bit-identical.
-  for (double x = -2; x <= 2; x += 0.5) {
-    EXPECT_DOUBLE_EQ(back->DecisionValue({x, 0.3}),
-                     model->DecisionValue({x, 0.3}));
-  }
-}
-
-TEST(ModelIoTest, DetectsCorruption) {
-  const auto train = GaussianCloud(10, 0, 0, 1.0, 47);
-  OneClassSvmOptions options;
-  Result<OneClassSvmModel> model = OneClassSvmTrainer(options).Train(train);
-  ASSERT_TRUE(model.ok());
-  std::string bytes = SerializeOneClassSvm(model.value());
-  bytes[bytes.size() / 2] ^= 0x5a;  // flip bits in the body
-  EXPECT_TRUE(DeserializeOneClassSvm(bytes).status().IsCorruption());
-  // Bad magic.
-  std::string garbage = "not a model at all";
-  EXPECT_FALSE(DeserializeOneClassSvm(garbage).ok());
-}
-
-TEST(ModelIoTest, FileRoundtrip) {
-  const auto train = GaussianCloud(15, 1, 1, 0.5, 53);
-  OneClassSvmOptions options;
-  Result<OneClassSvmModel> model = OneClassSvmTrainer(options).Train(train);
-  ASSERT_TRUE(model.ok());
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mivid_model.svm").string();
-  ASSERT_TRUE(SaveOneClassSvm(model.value(), path).ok());
-  Result<OneClassSvmModel> back = LoadOneClassSvm(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_DOUBLE_EQ(back->DecisionValue({1.0, 1.0}),
-                   model->DecisionValue({1.0, 1.0}));
-  std::remove(path.c_str());
-  EXPECT_FALSE(LoadOneClassSvm(path).ok());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Tests for track/: assignment solvers, the tracker, the PCA classifier.
+// Tests for track/: assignment solvers and the tracker.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "track/assignment.h"
 #include "track/tracker.h"
-#include "track/vehicle_classifier.h"
 
 namespace mivid {
 namespace {
@@ -185,70 +184,6 @@ TEST(TrackerTest, GreedyModeAlsoTracks) {
     tracker.Observe(f, {MakeBlob(10 + 3.0 * f, 50)});
   }
   EXPECT_EQ(tracker.Finish().size(), 1u);
-}
-
-Blob ShapeBlob(double w, double h, double fill) {
-  Blob b;
-  b.mbr = BBox(0, 0, w, h);
-  b.area = static_cast<int>(w * h * fill);
-  b.centroid = b.mbr.Center();
-  return b;
-}
-
-TEST(VehicleClassifierTest, DescriptorFields) {
-  const Vec d = BlobShapeDescriptor(ShapeBlob(16, 8, 0.9));
-  ASSERT_EQ(d.size(), 5u);
-  EXPECT_DOUBLE_EQ(d[0], 16.0);
-  EXPECT_DOUBLE_EQ(d[1], 8.0);
-  EXPECT_DOUBLE_EQ(d[3], 2.0);
-  EXPECT_NEAR(d[4], 0.9, 0.01);
-}
-
-TEST(VehicleClassifierTest, SeparatesCarsFromTrucks) {
-  Rng rng(21);
-  std::vector<LabeledBlob> examples;
-  for (int i = 0; i < 30; ++i) {
-    examples.push_back({ShapeBlob(16 + rng.Gaussian(), 8 + rng.Gaussian() * 0.5,
-                                  0.85 + rng.Gaussian() * 0.02),
-                        VehicleType::kCar});
-    examples.push_back({ShapeBlob(28 + rng.Gaussian(), 10 + rng.Gaussian() * 0.5,
-                                  0.9 + rng.Gaussian() * 0.02),
-                        VehicleType::kTruck});
-  }
-  Result<VehicleClassifier> clf = VehicleClassifier::Train(examples, 3);
-  ASSERT_TRUE(clf.ok());
-  int correct = 0;
-  for (int i = 0; i < 20; ++i) {
-    if (clf->Classify(ShapeBlob(16.5, 8.2, 0.86)) == VehicleType::kCar) {
-      ++correct;
-    }
-    if (clf->Classify(ShapeBlob(27.5, 9.8, 0.89)) == VehicleType::kTruck) {
-      ++correct;
-    }
-  }
-  EXPECT_EQ(correct, 40);
-}
-
-TEST(VehicleClassifierTest, DistanceIsSmallerForBetterMatch) {
-  std::vector<LabeledBlob> examples;
-  for (int i = 0; i < 5; ++i) {
-    examples.push_back({ShapeBlob(16, 8, 0.85), VehicleType::kCar});
-    examples.push_back({ShapeBlob(28, 10, 0.9), VehicleType::kTruck});
-  }
-  Result<VehicleClassifier> clf = VehicleClassifier::Train(examples, 2);
-  ASSERT_TRUE(clf.ok());
-  VehicleType t;
-  const double near = clf->ClassifyWithDistance(ShapeBlob(16, 8, 0.85), &t);
-  EXPECT_EQ(t, VehicleType::kCar);
-  const double far = clf->ClassifyWithDistance(ShapeBlob(20, 9, 0.87), &t);
-  EXPECT_LT(near, far);
-}
-
-TEST(VehicleClassifierTest, RejectsTinyTrainingSet) {
-  EXPECT_FALSE(VehicleClassifier::Train({}, 2).ok());
-  EXPECT_FALSE(
-      VehicleClassifier::Train({{ShapeBlob(16, 8, 0.9), VehicleType::kCar}}, 2)
-          .ok());
 }
 
 }  // namespace

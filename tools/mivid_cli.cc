@@ -28,7 +28,6 @@
 #include "obs/json.h"
 #include "obs/trace_stitch.h"
 #include "retrieval/engine_registry.h"
-#include "retrieval/mil_rf_engine.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
@@ -285,28 +284,6 @@ int CmdQuery(const Args& args) {
     if (!s.ok()) return Fail(s);
   }
 
-  // Only the paper's one-class-SVM engine produces a reusable query model.
-  const auto* milrf =
-      dynamic_cast<const MilRfEngine*>(&session->engine());
-  if (milrf != nullptr && milrf->model() != nullptr) {
-    const std::string name = "accidents_" + camera;
-    const Status s = db.value()->SaveModel(name, *milrf->model());
-    if (s.ok()) std::printf("saved query model '%s'\n", name.c_str());
-  }
-  return 0;
-}
-
-int CmdModels(const Args& args) {
-  if (args.positional.size() != 1) return BadArgs(*FindSubcommand("models"));
-  Result<std::unique_ptr<VideoDb>> db = OpenDb(args.positional[0], false);
-  if (!db.ok()) return Fail(db.status());
-  for (const std::string& name : db.value()->ListModels()) {
-    Result<OneClassSvmModel> model = db.value()->LoadModel(name);
-    if (model.ok()) {
-      std::printf("  %-30s %zu support vectors, rho=%.4f\n", name.c_str(),
-                  model->num_support_vectors(), model->rho());
-    }
-  }
   return 0;
 }
 
@@ -935,7 +912,6 @@ const std::vector<Subcommand>& Subcommands() {
        "  --engine=<name>  retrieval engine for the session\n"
        "                   (see 'mivid_cli engines'; default milrf)\n",
        CmdQuery},
-      {"models", "<db>", "list saved query models", "", CmdModels},
       {"sessions", "<db>", "list journaled retrieval sessions", "",
        CmdSessions},
       {"engines", "", "list registered retrieval engines", "", CmdEngines},
