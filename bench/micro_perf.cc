@@ -175,7 +175,7 @@ BENCHMARK(BM_TracksCodecRoundtrip);
 /// parsing, admission, session lookup, rank, and JSON response encoding.
 /// Reports the serve/rank_seconds histogram's p99 (from the metrics
 /// registry, i.e. exactly what a production /stats scrape would see) so
-/// BENCH_micro.json tracks tail latency, not just the mean.
+/// the report tracks tail latency, not just the mean.
 void BM_ServeRank(benchmark::State& state) {
   namespace fs = std::filesystem;
   const std::string dir =

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs the micro benchmarks and writes BENCH_micro.json so the perf
-# trajectory of the individual kernels (SMO, Gram, segmentation, serve
-# rank, ingest, publish) is tracked across PRs. End-to-end time and
-# retrieval quality are measured by e2ebench/run.py, not here.
+# Runs the micro benchmarks of the individual kernels (SMO, Gram,
+# segmentation, serve rank, ingest, publish) and writes their
+# google-benchmark JSON report. The report is not checked in: compare two
+# runs made on the same host with tools/bench_diff.py. End-to-end time
+# and retrieval quality are measured by e2ebench/run.py, not here.
 #
 # The script builds micro_perf with CMAKE_BUILD_TYPE=Release when it is
 # missing, and refuses to record numbers unless the binary stamps itself

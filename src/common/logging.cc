@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/thread_pool.h"
-
 namespace mivid {
 
 namespace {
@@ -71,10 +69,6 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
   // fleet run under one supervisor stays attributable: [INFO coord ...].
   const std::string& identity = GetLogIdentity();
   if (!identity.empty()) stream_ << " " << identity;
-  // Pool workers tag their lines so interleaved parallel phases are
-  // attributable: [WARN w3 file:42].
-  const int worker = ThreadPool::CurrentWorkerIndex();
-  if (worker >= 0) stream_ << " w" << worker;
   stream_ << " " << base << ":" << line << "] ";
 }
 

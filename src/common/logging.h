@@ -7,9 +7,7 @@
 // Severity below the global threshold is compiled into a cheap runtime
 // check. FATAL logs are emitted regardless of the threshold (even at
 // kOff) and abort after flushing. Each log line is written to stderr with
-// a single write call, so lines from concurrent threads never interleave;
-// lines emitted from a thread-pool worker carry its index (`w3`) in the
-// prefix.
+// a single write call, so lines from concurrent threads never interleave.
 
 #ifndef MIVID_COMMON_LOGGING_H_
 #define MIVID_COMMON_LOGGING_H_

@@ -1,8 +1,8 @@
 // Structured per-request access log + slow-query log.
 //
 // Workers and the coordinator append one JSON line per request with the
-// full latency breakdown (queue wait, corpus load, rank, fan-out, merge,
-// serialize, journal), the session/camera/engine identity, byte counts,
+// full latency breakdown (corpus load, rank, fan-out, merge, serialize,
+// journal), the session/camera/engine identity, byte counts,
 // status, and the distributed trace id — enough to answer "where did this
 // slow multi-camera query spend its time?" from the log alone. Requests
 // slower than a threshold (MIVID_SLOW_QUERY_MS or an explicit option)
@@ -19,9 +19,8 @@
 //    <2%-when-disabled overhead budget.
 //
 // RequestAudit is the collection half: a thread-local pointer installed
-// for the duration of one request (on the thread that executes it —
-// requests hop from the connection thread to a pool worker, so the
-// scope is installed inside the pool task). Phase timers deep in the
+// for the duration of one request on the thread that executes it, which
+// is the connection thread that read it. Phase timers deep in the
 // stack (corpus load, rank, merge) write into it without plumbing a
 // context parameter through every layer; when no audit is installed
 // they cost one thread-local null check.
@@ -47,7 +46,9 @@ struct ServeRequest;  // serve/protocol.h
 /// Latency breakdown of one request, filled by phase timers as the
 /// request moves through the stack. All times in milliseconds.
 struct RequestAudit {
-  double queue_ms = 0.0;      ///< admission to execution start
+  double queue_ms = 0.0;      ///< always 0: a request executes on the
+                              ///< thread that read it. The field stays
+                              ///< because e2ebench parses the log key.
   double corpus_ms = 0.0;     ///< corpus load (0 on cache hit)
   double rank_ms = 0.0;       ///< engine ranking
   double fanout_ms = 0.0;     ///< coordinator: first sub-request sent to

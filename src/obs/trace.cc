@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/json.h"
-#include "common/thread_pool.h"
 #include "common/ascii_plot.h"
 
 namespace mivid {
@@ -78,8 +77,8 @@ class ThreadTraceBuffer {
 
 struct TraceState {
   std::mutex mu;
-  // shared_ptr so buffers outlive their threads (pool rebuilds join the
-  // old workers, but their recorded spans must survive until export).
+  // shared_ptr so buffers outlive their threads (a closed connection's
+  // thread exits, but its recorded spans must survive until export).
   std::vector<std::shared_ptr<ThreadTraceBuffer>> buffers;
   uint32_t next_tid = 0;
   size_t capacity = 1 << 16;
@@ -99,11 +98,9 @@ ThreadTraceBuffer& LocalBuffer() {
   thread_local std::shared_ptr<ThreadTraceBuffer> buffer = [] {
     TraceState& state = State();
     std::lock_guard<std::mutex> lock(state.mu);
-    const int worker = ThreadPool::CurrentWorkerIndex();
-    const std::string label =
-        worker >= 0 ? StrFormat("worker %d", worker) : "main";
-    auto b = std::make_shared<ThreadTraceBuffer>(state.next_tid++, label,
-                                                 state.capacity);
+    const uint32_t tid = state.next_tid++;
+    auto b = std::make_shared<ThreadTraceBuffer>(
+        tid, StrFormat("thread %u", tid), state.capacity);
     state.buffers.push_back(b);
     return b;
   }();

@@ -11,7 +11,7 @@
 // Exports:
 //  * TraceToChromeJson() — a {"traceEvents":[...]} document loadable by
 //    chrome://tracing / Perfetto, with thread_name metadata rows naming
-//    the pool workers.
+//    each recording thread by its trace tid ("thread 3").
 //  * AggregateSpans() / FormatSpanReport() — per-span-name latency table
 //    (count, total, p50, p95, max) computed exactly from the recorded
 //    durations, rendered with ascii_plot.
@@ -47,7 +47,7 @@ struct TraceEventData {
   uint64_t begin_us = 0;  ///< microseconds since the process trace epoch
   uint64_t dur_us = 0;
   uint32_t tid = 0;           ///< stable per-buffer id (see thread_label)
-  std::string thread_label;   ///< "main", "worker 3", ...
+  std::string thread_label;   ///< "thread <tid>"
 };
 
 /// Every retained event, ordered by (tid, record order). Within one tid

@@ -10,6 +10,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <system_error>
 #include <utility>
 
 #include "common/fault.h"
@@ -155,6 +157,7 @@ void LineTransport::AcceptLoop() {
     const int ready = ::poll(pfds, static_cast<nfds_t>(nfds),
                              options_.poll_ms);
     if (idle_hook_) idle_hook_();
+    JoinFinished();
     if (ready <= 0) continue;
     for (int i = 0; i < nfds; ++i) {
       if ((pfds[i].revents & POLLIN) == 0) continue;
@@ -165,13 +168,38 @@ void LineTransport::AcceptLoop() {
         ::close(fd);
         return;
       }
-      conn_fds_.push_back(fd);
-      conn_threads_.emplace_back(&LineTransport::ConnectionLoop, this, fd);
+      Connection& conn = conns_.emplace_back();
+      conn.fd = fd;
+      try {
+        conn.thread =
+            std::thread(&LineTransport::ConnectionLoop, this, &conn);
+      } catch (const std::system_error& e) {
+        // Out of threads or address space: refuse this connection and
+        // keep serving the open ones instead of terminating.
+        MIVID_LOG(Warn) << "refusing a connection: " << e.what();
+        conns_.pop_back();
+        ::close(fd);
+      }
     }
   }
 }
 
-void LineTransport::ConnectionLoop(int fd) {
+void LineTransport::JoinFinished() {
+  std::list<Connection> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      auto next = std::next(it);
+      if (it->done) finished.splice(finished.end(), conns_, it);
+      it = next;
+    }
+  }
+  // A finished thread only has its close() left, so these joins are short.
+  for (Connection& conn : finished) conn.thread.join();
+}
+
+void LineTransport::ConnectionLoop(Connection* conn) {
+  const int fd = conn->fd;
   std::string buffer;
   char chunk[4096];
   bool open = true;
@@ -202,15 +230,12 @@ void LineTransport::ConnectionLoop(int fd) {
       open = false;
     }
   }
-  // Deregister before closing so Stop() never shuts down a recycled fd.
+  // Mark done before closing so Stop() never shuts down a recycled fd.
+  // After this the accept thread may unlink and join `conn`; touch it no
+  // more.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (auto it = conn_fds_.begin(); it != conn_fds_.end(); ++it) {
-      if (*it == fd) {
-        conn_fds_.erase(it);
-        break;
-      }
-    }
+    conn->done = true;
   }
   ::close(fd);
 }
@@ -224,13 +249,14 @@ void LineTransport::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Connection& conn : conns_) {
+      if (!conn.done) ::shutdown(conn.fd, SHUT_RDWR);
+    }
   }
-  // The accept thread is joined, so conn_threads_ is stable now.
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  conn_threads_.clear();
+  // The accept thread is joined, so nothing adds to or unlinks from
+  // conns_ any more.
+  for (Connection& conn : conns_) conn.thread.join();
+  conns_.clear();
   if (uds_fd_ >= 0) {
     ::close(uds_fd_);
     uds_fd_ = -1;

@@ -4,9 +4,11 @@
 // Owns up to two listeners — a Unix-domain stream socket and a TCP
 // socket (loopback by default) — and runs the accept/connection loops:
 // one accept thread polling both listen fds, one thread per connection
-// framing newline-delimited requests. Every complete line is handed to
-// the owner's handler, whose return string is written back as one
-// response line. The transport is protocol-agnostic; RetrievalServer
+// framing newline-delimited requests. The accept thread joins the
+// threads of closed connections on each poll tick, so only live
+// connections hold a thread. Every complete line is handed to the
+// owner's handler, whose return string is written back as one response
+// line. The transport is protocol-agnostic; RetrievalServer
 // and Coordinator plug their HandleLine into it, so the worker and the
 // coordinator share one tested socket path.
 //
@@ -20,10 +22,10 @@
 
 #include <atomic>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 
@@ -67,10 +69,19 @@ class LineTransport {
   bool started() const { return started_; }
 
  private:
+  /// One accepted connection and the thread that serves it.
+  struct Connection {
+    int fd = -1;
+    bool done = false;  ///< the loop ended; fd is closed or about to be
+    std::thread thread;
+  };
+
   Status StartUds();
   Status StartTcp();
   void AcceptLoop();
-  void ConnectionLoop(int fd);
+  void ConnectionLoop(Connection* conn);
+  /// Joins the threads of connections that have closed.
+  void JoinFinished();
 
   const LineTransportOptions options_;
   const Handler handler_;
@@ -82,9 +93,8 @@ class LineTransport {
   bool started_ = false;
 
   std::thread accept_thread_;
-  std::mutex conn_mu_;  ///< guards conn_fds_ and conn_threads_
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::mutex conn_mu_;  ///< guards conns_ and each Connection::done
+  std::list<Connection> conns_;
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;  ///< Stop() ran to completion
 };

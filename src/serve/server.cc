@@ -5,13 +5,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <thread>
 
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/version.h"
 #include "linalg/simd.h"
 #include "obs/metrics.h"
@@ -148,7 +146,7 @@ std::string RetrievalServer::HandleLine(const std::string& line) {
   MIVID_SCOPED_TIMER("serve/request_seconds");
   MIVID_METRIC_COUNT("serve/requests", 1);
   // Anchor the request's "deadline_ms" budget at arrival: whatever part
-  // of it is spent waiting for a dispatch slot is gone for good.
+  // of it parsing and admission spend is gone for good.
   const std::chrono::steady_clock::time_point arrival =
       std::chrono::steady_clock::now();
 
@@ -215,51 +213,25 @@ std::string RetrievalServer::HandleLine(const std::string& line) {
 std::string RetrievalServer::Dispatch(
     const ServeRequest& req, RequestAudit* audit,
     std::chrono::steady_clock::time_point arrival) {
-  // Sheds a request whose wire deadline lapsed before execution started
-  // (typically while queued behind slower work): answering it late would
-  // only feed a coordinator that already failed over.
-  auto deadline_spent = [&] {
-    if (req.deadline_ms <= 0) return false;
+  // Sheds a request whose wire deadline lapsed between arrival and
+  // execution (parse and admission): answering it late would only feed a
+  // coordinator that already failed over.
+  if (req.deadline_ms > 0) {
     const int64_t waited_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - arrival)
             .count();
-    return waited_ms >= req.deadline_ms;
-  };
-  auto shed = [&] {
-    MIVID_METRIC_COUNT("serve/deadline_shed", 1);
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(req.deadline_ms) +
-        "ms expired before dispatch; shedding"));
-  };
-  ThreadPool* pool = GlobalPool();
-  if (pool == nullptr || ThreadPool::InWorkerThread()) {
-    // Serial build (MIVID_THREADS=1) or already on a worker: run inline.
-    if (deadline_spent()) return shed();
-    RequestAuditScope scope(audit);
-    return Execute(req);
+    if (waited_ms >= req.deadline_ms) {
+      MIVID_METRIC_COUNT("serve/deadline_shed", 1);
+      return ErrorResponse(Status::DeadlineExceeded(
+          "deadline of " + std::to_string(req.deadline_ms) +
+          "ms expired before dispatch; shedding"));
+    }
   }
-  // Hand the work to the shared pool; the connection thread blocks until
-  // its request's turn comes and finishes, which keeps responses on one
-  // connection strictly ordered. The audit scope is installed inside the
-  // task — Execute runs on a pool worker, not this thread — and the gap
-  // between submit and task start is the queue wait.
-  std::chrono::steady_clock::time_point submitted;
-  if (audit != nullptr) submitted = std::chrono::steady_clock::now();
-  std::packaged_task<std::string()> task(
-      [this, &req, audit, submitted, &deadline_spent, &shed] {
-        if (audit != nullptr) {
-          audit->queue_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - submitted)
-                                .count();
-        }
-        if (deadline_spent()) return shed();
-        RequestAuditScope scope(audit);
-        return Execute(req);
-      });
-  std::future<std::string> done = task.get_future();
-  pool->Submit([&task] { task(); });
-  return done.get();
+  // The request runs on the connection thread that read it, so responses
+  // on one connection stay strictly ordered.
+  RequestAuditScope scope(audit);
+  return Execute(req);
 }
 
 std::string RetrievalServer::Execute(const ServeRequest& req) {
@@ -327,7 +299,7 @@ std::string RetrievalServer::CmdOpen(const ServeRequest& req) {
 std::string RetrievalServer::CmdRank(const ServeRequest& req) {
   // Serve-path rank latency on its own histogram: this is the query the
   // cluster's p99 target is stated against (bench/micro_perf.cc reports
-  // its p99 into BENCH_micro.json).
+  // its p99 in its JSON report).
   MIVID_SCOPED_TIMER("serve/rank_seconds");
   Result<std::shared_ptr<ServeSession>> got = sessions_.Get(req.session_id);
   if (!got.ok()) return ErrorResponse(got.status());

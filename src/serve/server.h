@@ -14,9 +14,9 @@
 // Concurrency model:
 //  * One accept thread; one thread per connection reading lines
 //    (LineTransport).
-//  * Request execution runs on the process-wide ThreadPool (inline when
-//    the pool is disabled, i.e. MIVID_THREADS=1). Admission is bounded:
-//    when `max_pending` requests are already in flight the server answers
+//  * A request executes on the connection thread that read it, so the
+//    connections bound the concurrency. Admission is bounded too: when
+//    `max_pending` requests are already in flight the server answers
 //    RESOURCE_EXHAUSTED immediately instead of queueing without bound —
 //    explicit backpressure the client can see and retry on.
 //  * Per-session mutexes serialize commands against one session; requests

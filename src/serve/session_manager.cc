@@ -102,43 +102,33 @@ Result<SessionManager::OpenResult> SessionManager::Open(
       std::shared_ptr<ServeSession> built,
       Build(id, camera, eng, resumed ? &journal.value() : nullptr));
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = sessions_.emplace(id, built);
-  if (!inserted) {
-    // A concurrent open won the race; adopt its session (both opens see
-    // the same state either way — the journal was identical).
-    it->second->last_used_ms.store(NowMs(), std::memory_order_relaxed);
-    return OpenResult{it->second, /*resumed=*/false, /*already_open=*/true};
-  }
-  if (options_.max_sessions > 0 && sessions_.size() > options_.max_sessions) {
-    // Over capacity: shed idle sessions; if every other session is busy
-    // or fresh, refuse this open.
-    bool evicted = false;
-    const int64_t now = NowMs();
-    for (auto sit = sessions_.begin(); sit != sessions_.end();) {
-      if (sit->first != id && options_.idle_timeout_ms > 0 &&
-          now - sit->second->last_used_ms.load(std::memory_order_relaxed) >=
-              options_.idle_timeout_ms &&
-          sit->second->mu.try_lock()) {
-        std::lock_guard<std::mutex> session_lock(sit->second->mu,
-                                                 std::adopt_lock);
-        (void)Save(*sit->second);
-        sit = sessions_.erase(sit);
-        evicted = true;
-      } else {
-        ++sit;
+  std::vector<std::shared_ptr<ServeSession>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, inserted] = sessions_.emplace(id, built);
+    if (!inserted) {
+      // A concurrent open won the race; adopt its session (both opens see
+      // the same state either way — the journal was identical).
+      it->second->last_used_ms.store(NowMs(), std::memory_order_relaxed);
+      return OpenResult{it->second, /*resumed=*/false, /*already_open=*/true};
+    }
+    if (options_.max_sessions > 0 &&
+        sessions_.size() > options_.max_sessions) {
+      // Over capacity: shed idle sessions; if every other session is busy
+      // or fresh, refuse this open.
+      evicted = DetachIdleLocked(built.get());
+      if (sessions_.size() > options_.max_sessions) {
+        sessions_.erase(id);
+        MIVID_METRIC_COUNT("serve/opens_rejected", 1);
+        return Status::ResourceExhausted(
+            "session table full (" + std::to_string(options_.max_sessions) +
+            " live sessions)");
       }
     }
-    if (!evicted && sessions_.size() > options_.max_sessions) {
-      sessions_.erase(id);
-      MIVID_METRIC_COUNT("serve/opens_rejected", 1);
-      return Status::ResourceExhausted(
-          "session table full (" + std::to_string(options_.max_sessions) +
-          " live sessions)");
-    }
+    if (resumed) MIVID_METRIC_COUNT("serve/sessions_resumed", 1);
+    MIVID_METRIC_GAUGE_SET("serve/sessions_open", sessions_.size());
   }
-  if (resumed) MIVID_METRIC_COUNT("serve/sessions_resumed", 1);
-  MIVID_METRIC_GAUGE_SET("serve/sessions_open", sessions_.size());
+  JournalEvicted(evicted);
   return OpenResult{built, resumed, /*already_open=*/false};
 }
 
@@ -202,33 +192,44 @@ Status SessionManager::Close(const std::string& id, bool discard) {
   return Save(*session);
 }
 
-size_t SessionManager::EvictIdle() {
-  if (options_.idle_timeout_ms <= 0) return 0;
-  const int64_t now = NowMs();
+std::vector<std::shared_ptr<ServeSession>> SessionManager::DetachIdleLocked(
+    const ServeSession* keep) {
   std::vector<std::shared_ptr<ServeSession>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      ServeSession& s = *it->second;
-      const int64_t idle =
-          now - s.last_used_ms.load(std::memory_order_relaxed);
-      if (idle >= options_.idle_timeout_ms && s.mu.try_lock()) {
-        s.mu.unlock();  // nobody mid-request; safe to detach
-        evicted.push_back(it->second);
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!evicted.empty()) {
-      MIVID_METRIC_GAUGE_SET("serve/sessions_open", sessions_.size());
+  if (options_.idle_timeout_ms <= 0) return evicted;
+  const int64_t now = NowMs();
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    ServeSession& s = *it->second;
+    const int64_t idle = now - s.last_used_ms.load(std::memory_order_relaxed);
+    if (&s != keep && idle >= options_.idle_timeout_ms && s.mu.try_lock()) {
+      s.mu.unlock();  // nobody mid-request; safe to detach
+      evicted.push_back(it->second);
+      it = sessions_.erase(it);
+    } else {
+      ++it;
     }
   }
+  if (!evicted.empty()) {
+    MIVID_METRIC_GAUGE_SET("serve/sessions_open", sessions_.size());
+  }
+  return evicted;
+}
+
+void SessionManager::JournalEvicted(
+    const std::vector<std::shared_ptr<ServeSession>>& evicted) {
   for (const auto& session : evicted) {
     std::lock_guard<std::mutex> session_lock(session->mu);
     (void)Save(*session);
     MIVID_METRIC_COUNT("serve/sessions_evicted", 1);
   }
+}
+
+size_t SessionManager::EvictIdle() {
+  std::vector<std::shared_ptr<ServeSession>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    evicted = DetachIdleLocked(nullptr);
+  }
+  JournalEvicted(evicted);
   return evicted.size();
 }
 

@@ -76,7 +76,8 @@ class SessionManager {
   /// memory -> journal on disk -> fresh. `camera_id`/`engine` may be
   /// empty when a journal or live session supplies them; a non-empty
   /// value that contradicts the existing session is InvalidArgument.
-  /// ResourceExhausted when the session table is full of busy sessions.
+  /// A full table first evicts its idle sessions (as EvictIdle does);
+  /// ResourceExhausted when none is evictable.
   Result<OpenResult> Open(const std::string& id, const std::string& camera_id,
                           const std::string& engine);
 
@@ -121,6 +122,16 @@ class SessionManager {
                                               const std::string& engine,
                                               const SessionState* restore);
   std::string JournalName(const std::string& id) const { return "serve_" + id; }
+
+  /// Drops from the table every session idle past the timeout whose lock
+  /// is free, except `keep`, and returns them. Caller holds mu_ and then
+  /// hands the result to JournalEvicted after releasing it, so no
+  /// journal write runs under the table lock that every Get takes.
+  std::vector<std::shared_ptr<ServeSession>> DetachIdleLocked(
+      const ServeSession* keep);
+  /// Journals sessions that DetachIdleLocked dropped.
+  void JournalEvicted(
+      const std::vector<std::shared_ptr<ServeSession>>& evicted);
 
   VideoDb* db_;
   CorpusManager* corpora_;

@@ -1,10 +1,10 @@
-// Determinism regression test: the whole experiment does not depend on
-// the thread count. The bits of each numeric kernel are pinned in
-// simd_kernels_test.cc.
+// Determinism regression test: the whole experiment gives the same bits
+// every time it runs in one process, so no cache, static or leftover state
+// of an earlier run leaks into a later one. The bits of each numeric
+// kernel are pinned in simd_kernels_test.cc.
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "eval/experiment.h"
 #include "retrieval/heuristic.h"
 #include "retrieval/mil_rf_engine.h"
@@ -13,21 +13,9 @@
 namespace mivid {
 namespace {
 
-/// Runs `fn` once at 1 thread and once at 8, restoring the default after.
-template <typename Fn>
-void AtThreadCounts(const Fn& fn, decltype(fn()) * serial,
-                    decltype(fn()) * parallel) {
-  SetGlobalThreadCount(1);
-  *serial = fn();
-  SetGlobalThreadCount(8);
-  *parallel = fn();
-  SetGlobalThreadCount(0);
-}
-
-TEST(DeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, ExperimentIdenticalAcrossRuns) {
   // End-to-end through the *vision* pipeline: render -> background ->
-  // SPCPE -> refinement -> tracking -> MIL feedback rounds. The thread
-  // count only sizes the request pool; no result may depend on it.
+  // SPCPE -> refinement -> tracking -> MIL feedback rounds.
   TunnelScenarioOptions scenario_options;
   scenario_options.total_frames = 400;
   scenario_options.num_wall_crashes = 1;
@@ -74,12 +62,12 @@ TEST(DeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
     out.top20 = TopIds(engine.Rank(), 20);
     return out;
   };
-  Outcome serial, parallel;
-  AtThreadCounts(run, &serial, &parallel);
-  EXPECT_EQ(serial.curves, parallel.curves);
-  EXPECT_EQ(serial.top20, parallel.top20);
-  ASSERT_FALSE(serial.curves.empty());
-  ASSERT_FALSE(serial.top20.empty());
+  const Outcome first = run();
+  const Outcome second = run();
+  EXPECT_EQ(first.curves, second.curves);
+  EXPECT_EQ(first.top20, second.top20);
+  ASSERT_FALSE(first.curves.empty());
+  ASSERT_FALSE(first.top20.empty());
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/access_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -133,23 +132,6 @@ TEST_F(ObsThreadingTest, CollectWhileRecordingIsSafe) {
   }
   stop.store(true);
   writer.join();
-}
-
-TEST(ThreadPoolIndexTest, WorkerIndexVisibleInsidePoolOnly) {
-  EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
-  constexpr int kTasks = 1000;
-  std::atomic<int> in_range{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.Submit([&in_range] {
-        const int idx = ThreadPool::CurrentWorkerIndex();
-        if (idx >= 0 && idx < 4) in_range.fetch_add(1);
-      });
-    }
-  }  // the destructor drains the queue
-  EXPECT_EQ(in_range.load(), kTasks);
-  EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
 }
 
 TEST(LogThreadingTest, ConcurrentLogLinesDoNotInterleave) {

@@ -3,12 +3,15 @@
 // and the serve-vs-in-process bit-identical-ranking guarantee.
 
 #include <unistd.h>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -365,6 +368,90 @@ TEST(ServeServerTest, SessionCapacityIsBounded) {
       server.HandleLine(R"({"cmd":"close","session":"cap1","discard":true})"))));
   EXPECT_TRUE(IsOk(Parse(server.HandleLine(
       R"({"cmd":"open","session":"cap3","camera":"camA"})"))));
+}
+
+TEST(ServeServerTest, FullTableEvictsIdleSessionOnOpen) {
+  ServeOptions options = TestServeOptions();
+  options.max_sessions = 2;
+  options.idle_timeout_ms = 300;
+  RetrievalServer server(Env().db.get(), options);
+  ASSERT_TRUE(IsOk(Parse(server.HandleLine(
+      R"({"cmd":"open","session":"idle1","camera":"camA"})"))));
+  ASSERT_TRUE(IsOk(Parse(server.HandleLine(
+      R"({"cmd":"open","session":"busy2","camera":"camA"})"))));
+
+  // One feedback round on idle1, then leave it idle.
+  const WireRanking initial = GetRanking(Parse(
+      server.HandleLine(R"({"cmd":"rank","session":"idle1","top":-1})")));
+  ASSERT_GE(initial.bags.size(), 2u);
+  ASSERT_TRUE(IsOk(Parse(server.HandleLine(
+      R"({"cmd":"feedback","session":"idle1","labels":)" +
+      LabelsJson({{initial.bags[0], BagLabel::kRelevant},
+                  {initial.bags[1], BagLabel::kIrrelevant}}) +
+      "}"))));
+  const WireRanking trained = GetRanking(Parse(
+      server.HandleLine(R"({"cmd":"rank","session":"idle1","top":-1})")));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(options.idle_timeout_ms + 100));
+
+  // busy2 was just used, so the full table can shed only idle1.
+  ASSERT_TRUE(IsOk(Parse(
+      server.HandleLine(R"({"cmd":"rank","session":"busy2","top":1})"))));
+  ASSERT_TRUE(IsOk(Parse(server.HandleLine(
+      R"({"cmd":"open","session":"new3","camera":"camA"})"))));
+  EXPECT_EQ(server.sessions().open_count(), 2u);
+  EXPECT_EQ(ErrorCode(Parse(server.HandleLine(
+                R"({"cmd":"rank","session":"idle1"})"))),
+            "NOT_FOUND");
+
+  // The eviction journaled idle1: reopened without a camera, it resumes
+  // at the same round with the same ranking.
+  ASSERT_TRUE(IsOk(Parse(
+      server.HandleLine(R"({"cmd":"close","session":"new3","discard":true})"))));
+  const JsonValue reopened =
+      Parse(server.HandleLine(R"({"cmd":"open","session":"idle1"})"));
+  ASSERT_TRUE(IsOk(reopened)) << ErrorCode(reopened);
+  EXPECT_TRUE(reopened.Find("resumed")->bool_value);
+  EXPECT_EQ(reopened.Find("camera")->string, "camA");
+  EXPECT_EQ(reopened.Find("round")->number, 1);
+  const WireRanking resumed = GetRanking(Parse(
+      server.HandleLine(R"({"cmd":"rank","session":"idle1","top":-1})")));
+  EXPECT_EQ(resumed.bags, trained.bags);
+  EXPECT_EQ(resumed.scores, trained.scores);
+}
+
+/// Lines of /proc/self/maps. A thread that has exited but was never
+/// joined still holds two of them: its stack and its guard page.
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(LineTransportTest, ClosedConnectionThreadsAreJoined) {
+  LineTransportOptions options;
+  options.tcp_port = 0;
+  LineTransport transport(options, [](const std::string&) {
+    return std::string(R"({"ok":true})");
+  });
+  ASSERT_TRUE(transport.Start().ok());
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(transport.tcp_port());
+  // One connection after another, each closed once its reply is in, so
+  // at most one connection thread is alive at a time.
+  auto ping_once = [&endpoint] {
+    Result<ServeClient> client = ServeClient::Connect(endpoint);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Result<std::string> reply = client.value().Call(R"({"cmd":"ping"})");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  };
+  for (int i = 0; i < 10; ++i) ping_once();  // warm up allocator arenas
+  const size_t before = MappingCount();
+  for (int i = 0; i < 200; ++i) ping_once();
+  // Leaving the 200 exited threads unjoined adds ~400 mappings.
+  EXPECT_LT(MappingCount(), before + 50);
+  transport.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Concurrency tests for the serve layer, built into mivid_threading_tests
 // so CI runs them under ThreadSanitizer: single-flight corpus loading,
-// concurrent clients on distinct and shared sessions, and backpressure
-// under real contention.
+// concurrent clients on distinct and shared sessions, backpressure under
+// real contention, and connection threads joined while others run.
 
 #include <unistd.h>
 
@@ -17,6 +17,7 @@
 
 #include "db/video_db.h"
 #include "obs/json.h"
+#include "serve/client.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
 
@@ -229,6 +230,45 @@ TEST(ServeThreadingTest, QueueFullUnderContentionReturnsResourceExhausted) {
   }
   for (std::thread& t : blockers) t.join();
   EXPECT_EQ(server.requests_rejected(), 1u);
+}
+
+TEST(LineTransportThreadingTest, ConnectionsCloseWhileOthersStayOpen) {
+  LineTransportOptions options;
+  options.tcp_port = 0;
+  options.poll_ms = 5;  // join closed connections often
+  LineTransport transport(options, [](const std::string& line) {
+    return line;  // echo
+  });
+  ASSERT_TRUE(transport.Start().ok());
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(transport.tcp_port());
+
+  // One connection stays open across the churn and into Stop().
+  Result<ServeClient> held = ServeClient::Connect(endpoint);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(held.value().Call("held").ok());
+
+  // A few clients open, use and close connections one after another, so
+  // the accept thread joins finished connection threads while other
+  // connection threads are serving.
+  std::atomic<int> echoed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&endpoint, &echoed, c] {
+      for (int i = 0; i < 20; ++i) {
+        const std::string line =
+            "c" + std::to_string(c) + "-" + std::to_string(i);
+        Result<ServeClient> client = ServeClient::Connect(endpoint);
+        if (!client.ok()) continue;
+        Result<std::string> reply = client.value().Call(line);
+        if (reply.ok() && reply.value() == line) echoed.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(echoed.load(), 60);
+  EXPECT_TRUE(held.value().Call("still here").ok());
+  transport.Stop();  // shuts down and joins the held connection's thread
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 // The load-bearing invariant: every primitive produces bit-identical
 // results on every dispatch tier, so rankings never depend on the host's
-// instruction set (or on MIVID_SIMD / MIVID_THREADS).
+// instruction set (or on MIVID_SIMD).
 
 #include <cmath>
 #include <cstdint>
@@ -374,9 +374,9 @@ TEST(MilRfRankTest, BitIdenticalAcrossTiers) {
 // ---------------------------------------------------------------------
 // Golden pins: FNV-1a hashes of the outputs of every numeric loop that
 // builds a Gram matrix, trains or evaluates an SVM, partitions a frame or
-// ranks by citation. Each pin holds on every tier and at any
-// MIVID_THREADS, so a rewrite of one of these loops must keep its
-// per-element accumulation order to keep the bits.
+// ranks by citation. Each pin holds on every tier, so a rewrite of one of
+// these loops must keep its per-element accumulation order to keep the
+// bits.
 
 /// Runs `hash` on every available tier and checks each result against
 /// the golden `want`.

@@ -2,7 +2,8 @@
 """Compares two google-benchmark JSON reports (BENCH_micro.json).
 
 Prints a per-benchmark table of baseline vs candidate times and flags
-regressions beyond a threshold. Intended for PR review and CI:
+regressions beyond a threshold. Both reports should come from the same
+host, e.g. bench/run_micro_bench.sh on a base checkout and on a change:
 
     tools/bench_diff.py BENCH_micro.base.json BENCH_micro.json
     tools/bench_diff.py --threshold 0.15 old.json new.json

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "cluster/supervisor.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "db/query_engine.h"
 #include "db/video_db.h"
 #include "eval/metrics.h"
@@ -125,7 +123,7 @@ int PrintCommandHelp(const Subcommand& cmd) {
 }
 
 int Usage() {
-  std::fprintf(stderr, "usage: mivid_cli [--threads N] %s <command> ...\n",
+  std::fprintf(stderr, "usage: mivid_cli%s <command> ...\n",
                ObsFlagsHelp());
   for (const Subcommand& cmd : Subcommands()) {
     std::fprintf(stderr, "  mivid_cli %-8s %s\n      %s\n", cmd.name,
@@ -1019,30 +1017,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  // Global flag: --threads N sizes the pool that runs served requests
-  // (overrides the MIVID_THREADS environment variable; 1 runs each
-  // request on its connection thread). Other commands compute serially
-  // at any setting.
-  std::vector<std::string> words;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      int64_t v = 0;
-      if (!ParseInt64(argv[i] + 10, &v) || v < 1) return Usage();
-      SetGlobalThreadCount(static_cast<int>(v));
-      continue;
-    }
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      int64_t v = 0;
-      if (i + 1 >= argc || !ParseInt64(argv[i + 1], &v) || v < 1) {
-        return Usage();
-      }
-      SetGlobalThreadCount(static_cast<int>(v));
-      ++i;
-      continue;
-    }
-    words.emplace_back(argv[i]);
-  }
-
+  const std::vector<std::string> words(argv + 1, argv + argc);
   if (words.empty()) return Usage();
   if (words[0] == "help" || words[0] == "--help" || words[0] == "-h") {
     if (words.size() >= 2) {
