@@ -21,8 +21,6 @@ namespace mivid {
 
 namespace {
 
-constexpr int kAcceptPollMs = 100;
-
 /// The trace context of the request being handled on this thread (set by
 /// HandleLine for the duration of one request). Fan-out lines built deep
 /// in the command handlers read it instead of threading a parameter
@@ -157,14 +155,8 @@ Status ReadRankReply(const JsonValue& reply, const std::string& camera,
 }
 
 Status ValidateCoordinatorOptions(const CoordinatorOptions& options) {
-  if (options.socket_path.empty() && options.tcp_port < 0) {
-    return Status::InvalidArgument(
-        "no listener configured: set a socket path and/or --tcp-port");
-  }
-  if (options.tcp_port > 65535) {
-    return Status::InvalidArgument("tcp_port out of range: " +
-                                   std::to_string(options.tcp_port));
-  }
+  MIVID_RETURN_IF_ERROR(
+      ValidateListeners(options.daemon.socket_path, options.daemon.tcp_port));
   if (options.workers.empty()) {
     return Status::InvalidArgument(
         "a coordinator needs at least one worker endpoint (--workers)");
@@ -195,17 +187,19 @@ Status ValidateCoordinatorOptions(const CoordinatorOptions& options) {
 }
 
 Coordinator::Coordinator(CoordinatorOptions options)
-    : options_(std::move(options)),
+    : LineDaemon(options.daemon,
+                 {"coordinator",
+                  GetLogIdentity().empty() ? "coord" : GetLogIdentity(),
+                  ServeCmdCoordSpanName, "cluster/requests", "cluster/errors",
+                  /*seconds_metric=*/nullptr}),
+      options_(std::move(options)),
       registry_(options_.workers),
       ring_(options_.virtual_nodes),
-      last_heartbeat_(std::chrono::steady_clock::now()) {
-  access_log_.OpenOrWarn({options_.access_log_path, options_.slow_log_path,
-                          options_.slow_threshold_ms});
-}
+      last_heartbeat_(std::chrono::steady_clock::now()) {}
 
 Coordinator::~Coordinator() { Stop(); }
 
-Status Coordinator::Start() {
+Status Coordinator::Prepare() {
   MIVID_RETURN_IF_ERROR(ValidateCoordinatorOptions(options_));
   MIVID_RETURN_IF_ERROR(registry_.ConnectAll());
   {
@@ -215,34 +209,7 @@ Status Coordinator::Start() {
     }
   }
   MIVID_METRIC_GAUGE_SET("cluster/workers_alive", WorkersAlive());
-
-  LineTransportOptions transport;
-  transport.uds_path = options_.socket_path;
-  transport.tcp_host = options_.tcp_host;
-  transport.tcp_port = options_.tcp_port;
-  transport.poll_ms = kAcceptPollMs;
-  transport_ = std::make_unique<LineTransport>(
-      std::move(transport),
-      [this](const std::string& line) { return HandleLine(line); },
-      [this] { HeartbeatSweep(); });
-  Status started = transport_->Start();
-  if (!started.ok()) {
-    transport_.reset();
-    return started;
-  }
-  MIVID_LOG(Info) << "coordinator fronting " << options_.workers.size()
-                  << " worker(s)";
   return Status::OK();
-}
-
-void Coordinator::Stop() {
-  if (stopping_.exchange(true)) return;
-  RequestShutdown();
-  if (transport_ != nullptr) transport_->Stop();
-}
-
-int Coordinator::tcp_port() const {
-  return transport_ != nullptr ? transport_->tcp_port() : -1;
 }
 
 size_t Coordinator::session_count() const {
@@ -250,47 +217,21 @@ size_t Coordinator::session_count() const {
   return sessions_.size();
 }
 
-void Coordinator::RequestShutdown() {
-  std::lock_guard<std::mutex> lock(shutdown_mu_);
-  shutdown_requested_ = true;
-  shutdown_cv_.notify_all();
-}
-
-void Coordinator::WaitForShutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mu_);
-  shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
-}
-
-bool Coordinator::WaitForShutdownFor(int timeout_ms) {
-  std::unique_lock<std::mutex> lock(shutdown_mu_);
-  return shutdown_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                               [this] { return shutdown_requested_; });
-}
-
-std::string Coordinator::HandleLine(const std::string& line) {
-  MIVID_METRIC_COUNT("cluster/requests", 1);
-  Result<ServeRequest> parsed = ParseServeRequest(line);
-  if (!parsed.ok()) {
-    MIVID_METRIC_COUNT("cluster/errors", 1);
-    return ErrorResponse(parsed.status());
-  }
-  const ServeRequest& req = parsed.value();
-
-  // Root (or continue) the distributed trace at admission: this span is
-  // the cluster-wide parent of everything the request touches. When the
-  // client supplied no context, every line relayed or fanned out below
-  // is stamped with it, so worker spans nest under the coordinator's in
-  // the stitched fleet timeline.
-  ContextSpan span(ServeCmdCoordSpanName(req.cmd), req.trace_id,
-                   req.parent_span);
+std::string Coordinator::Handle(const DaemonRequest& request) {
+  const ServeRequest& req = request.req;
+  const ContextSpan& span = request.span;
+  // The root span is the cluster-wide parent of everything the request
+  // touches. When the client supplied no context, every line relayed or
+  // fanned out below is stamped with it, so worker spans nest under the
+  // coordinator's in the stitched fleet timeline.
   RequestTraceScope trace_scope(span.active() ? &span.context() : nullptr);
-  const std::string* relay = &line;
+  const std::string* relay = &request.line;
   std::string stamped;
   if (span.active() && req.trace_id.empty()) {
     // Only lines that carried no context are stamped: a duplicate
     // "trace" key would shadow the client's ids (Find returns the first
     // member), so client-supplied contexts are relayed untouched.
-    stamped = StampTraceContext(line, span.context().trace_id,
+    stamped = StampTraceContext(request.line, span.context().trace_id,
                                 span.context().span_id);
     relay = &stamped;
   }
@@ -304,29 +245,22 @@ std::string Coordinator::HandleLine(const std::string& line) {
     stamped = StampDeadlineMs(*relay, options_.rpc_deadline_ms);
     relay = &stamped;
   }
+  return Route(req, *relay, deadline);
+}
 
-  AccessEnvelope envelope(&access_log_);
-  RequestAuditScope audit_scope(envelope.audit());
-
-  std::string response = Route(req, *relay, deadline);
-
+SessionIdentity Coordinator::ResolveSession(const std::string& session_id) {
   // Session-addressed requests name no camera on the wire; recover the
   // fan-out from the routed session so a slow multi-camera rank logs
   // which corpora it touched. (The request is already answered — this
   // lock is uncontended bookkeeping, and close has simply dropped the
   // session, leaving the list empty.)
-  envelope.Write(
-      "coordinator", GetLogIdentity().empty() ? "coord" : GetLogIdentity(),
-      req, span, line, response, [this](const std::string& session_id) {
-        SessionIdentity identity;
-        if (std::shared_ptr<CoordSession> session = FindSession(session_id)) {
-          std::lock_guard<std::mutex> session_lock(session->mu);
-          identity.engine = session->engine;
-          identity.cameras = session->cameras();
-        }
-        return identity;
-      });
-  return response;
+  SessionIdentity identity;
+  if (std::shared_ptr<CoordSession> session = FindSession(session_id)) {
+    std::lock_guard<std::mutex> session_lock(session->mu);
+    identity.engine = session->engine;
+    identity.cameras = session->cameras();
+  }
+  return identity;
 }
 
 std::string Coordinator::Route(const ServeRequest& req,
@@ -369,12 +303,8 @@ std::string Coordinator::Route(const ServeRequest& req,
       return CmdClusterStats();
     case ServeCmd::kTraceDump:
       return CmdTraceDump();
-    case ServeCmd::kShutdown: {
-      RequestShutdown();
-      JsonLineBuilder out;
-      out.Bool("ok", true).Str("cmd", "shutdown").Bool("shutting_down", true);
-      return std::move(out).Build();
-    }
+    case ServeCmd::kShutdown:
+      return ShutdownReply();
   }
   return ErrorResponse(Status::Internal("unhandled command"));
 }
@@ -1247,12 +1177,6 @@ void Coordinator::DropFromRing(const std::string& endpoint) {
 
 Deadline Coordinator::HopDeadline() const {
   return Deadline().ClampedToMs(options_.rpc_deadline_ms);
-}
-
-int64_t Coordinator::UptimeSeconds() const {
-  return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::steady_clock::now() - start_time_)
-      .count();
 }
 
 void Coordinator::HeartbeatSweep() {

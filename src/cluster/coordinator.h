@@ -2,8 +2,9 @@
 //
 // A fleet is N mivid_serve workers (each owning the camera corpora the
 // placement ring assigns it) behind one mivid_coord process speaking the
-// same NDJSON protocol as a single worker. Clients do not know the
-// fleet exists:
+// same NDJSON protocol as a single worker. It is the coordinator role of
+// the daemon shell (serve/daemon.h), which owns its listeners, request
+// envelope and lifecycle. Clients do not know the fleet exists:
 //
 //  * A session lives on its camera's home worker — the consistent-hash
 //    owner of the camera. open with "cameras":[...] spans a session over
@@ -51,9 +52,7 @@
 #ifndef MIVID_CLUSTER_COORDINATOR_H_
 #define MIVID_CLUSTER_COORDINATOR_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -66,28 +65,18 @@
 #include "cluster/worker_registry.h"
 #include "common/deadline.h"
 #include "common/status.h"
-#include "obs/access_log.h"
 #include "obs/json.h"
-#include "serve/line_transport.h"
+#include "serve/daemon.h"
 #include "serve/protocol.h"
 
 namespace mivid {
 
 struct CoordinatorOptions {
-  std::string socket_path;  ///< Unix-domain listener; "" = none
-  std::string tcp_host = "127.0.0.1";
-  int tcp_port = -1;        ///< <0 = no TCP listener, 0 = kernel-assigned
+  DaemonOptions daemon;     ///< listeners and logs
   std::vector<std::string> workers;  ///< worker endpoints (host:port / UDS)
   int top_n = 20;           ///< default rank depth when "top" is absent
   size_t virtual_nodes = 64;  ///< ring points per worker
   int heartbeat_ms = 0;     ///< 0 = no active health probing (lazy only)
-
-  /// Per-request JSON-lines access log (obs/access_log.h); "" = off.
-  std::string access_log_path;
-  /// Slow-query log: requests >= the slow threshold; "" = off.
-  std::string slow_log_path;
-  /// Slow threshold in ms; negative = MIVID_SLOW_QUERY_MS env (or 500).
-  double slow_threshold_ms = -1.0;
 
   /// Per-hop budget for coordinator->worker calls in ms; 0 disables
   /// deadline enforcement (a hung worker then blocks its caller).
@@ -127,31 +116,10 @@ WorkerReply ReadWorkerReply(std::string line);
 Status ReadRankReply(const JsonValue& reply, const std::string& camera,
                      std::vector<ClusterScoredBag>* part, int64_t* total);
 
-class Coordinator {
+class Coordinator : public LineDaemon {
  public:
   explicit Coordinator(CoordinatorOptions options);
-  ~Coordinator();
-
-  Coordinator(const Coordinator&) = delete;
-  Coordinator& operator=(const Coordinator&) = delete;
-
-  /// Dials every worker, builds the placement ring, binds listeners.
-  Status Start();
-
-  /// Closes listeners and connections, joins threads. Idempotent.
-  void Stop();
-
-  /// Handles one request line (exposed for tests; Start() wires it into
-  /// the transport). Thread-safe.
-  std::string HandleLine(const std::string& line);
-
-  void RequestShutdown();
-  void WaitForShutdown();
-  /// True when shutdown was requested within `timeout_ms`.
-  bool WaitForShutdownFor(int timeout_ms);
-
-  /// TCP port actually bound (resolves port 0), or -1.
-  int tcp_port() const;
+  ~Coordinator() override;
 
   /// Sessions currently routed by this coordinator.
   size_t session_count() const;
@@ -185,10 +153,18 @@ class Coordinator {
     }
   };
 
-  /// HandleLine minus tracing/audit bookkeeping: routes one parsed
-  /// request. `line` is the relay form (stamped with trace context and
-  /// deadline when the incoming line carried none). `deadline` bounds
-  /// every worker hop made on behalf of this request.
+  /// Validates the options, dials every worker, builds the placement
+  /// ring.
+  Status Prepare() override;
+  /// Installs the request's trace context for fan-out lines, stamps the
+  /// relay form of the line (trace context and deadline, when the
+  /// incoming line carried none), then routes it.
+  std::string Handle(const DaemonRequest& request) override;
+  SessionIdentity ResolveSession(const std::string& session_id) override;
+  void OnIdle() override { HeartbeatSweep(); }
+
+  /// Routes one parsed request. `line` is the relay form. `deadline`
+  /// bounds every worker hop made on behalf of this request.
   std::string Route(const ServeRequest& req, const std::string& line,
                     const Deadline& deadline);
 
@@ -242,8 +218,6 @@ class Coordinator {
   std::string CmdPing();
   std::string CmdClusterStats();
   std::string CmdTraceDump();
-
-  int64_t UptimeSeconds() const;
 
   int64_t WorkersAlive() const;
   /// Stops placement from handing out `endpoint` (the heartbeat
@@ -309,15 +283,6 @@ class Coordinator {
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<CoordSession>> sessions_;
 
-  std::unique_ptr<LineTransport> transport_;
-  AccessLog access_log_;
-  const std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
-
-  std::mutex shutdown_mu_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
-  std::atomic<bool> stopping_{false};
   std::chrono::steady_clock::time_point last_heartbeat_;
 };
 

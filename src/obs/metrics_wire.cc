@@ -121,6 +121,12 @@ Result<MetricsSnapshot> MetricsSnapshotFromWireJson(const JsonValue& doc) {
       stats.sum = number("sum", 0);
       stats.min = number("min", 0);
       stats.max = number("max", 0);
+      // Merging clamps percentiles into [min, max], which needs min <= max
+      // once the histogram holds a value.
+      if (stats.count > 0 && stats.min > stats.max) {
+        return Status::InvalidArgument(StrFormat(
+            "metrics snapshot: histogram %s has min > max", name.c_str()));
+      }
       stats.p50 = number("p50", 0);
       stats.p95 = number("p95", 0);
       stats.p99 = number("p99", 0);

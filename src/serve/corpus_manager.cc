@@ -15,18 +15,6 @@ namespace mivid {
 
 namespace {
 
-/// Appends every bag of `from` into `to` (ids kept as stored — segment
-/// bag ids are already global). InvalidArgument when the two corpora's
-/// instance dimensions differ.
-Status AppendCorpusBags(const CameraCorpus& from, CameraCorpus* to) {
-  for (const MilBag& bag : from.dataset.bags()) {
-    MIVID_RETURN_IF_ERROR(to->dataset.AddBag(bag));
-  }
-  to->bag_refs.insert(from.bag_refs.begin(), from.bag_refs.end());
-  to->truth.insert(from.truth.begin(), from.truth.end());
-  return Status::OK();
-}
-
 /// The instance dimension of `dataset`'s bags; unset while it has no
 /// instance.
 std::optional<size_t> InstanceDim(const MilDataset& dataset) {
@@ -34,6 +22,24 @@ std::optional<size_t> InstanceDim(const MilDataset& dataset) {
     if (!bag.instances.empty()) return bag.instances[0].features.size();
   }
   return std::nullopt;
+}
+
+/// InvalidArgument when `delta`'s instances have another dimension than
+/// the instances of `parts`, which then cannot rank as one corpus.
+Status CheckInstanceDim(
+    const std::vector<std::shared_ptr<const CameraCorpus>>& parts,
+    const CameraCorpus& delta) {
+  std::optional<size_t> base_dim;
+  for (const auto& part : parts) {
+    if (!base_dim) base_dim = InstanceDim(part->dataset);
+  }
+  const std::optional<size_t> delta_dim = InstanceDim(delta.dataset);
+  if (base_dim && delta_dim && *base_dim != *delta_dim) {
+    return Status::InvalidArgument(StrFormat(
+        "published clips have %zu features per instance; the corpus has %zu",
+        *delta_dim, *base_dim));
+  }
+  return Status::OK();
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point t) {
@@ -156,7 +162,10 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
 
   LoadedEpoch out;
   uint64_t epoch_id = 1;
-  std::shared_ptr<const CameraCorpus> corpus;
+  // The epoch's parts, as Publish builds them: each restored segment is
+  // its own part (the mmap is adopted, never copied), and the clips past
+  // the manifest become one more.
+  std::vector<std::shared_ptr<const CameraCorpus>> parts;
 
   // Stage 1: restore published segments via the epoch manifest.
   // snapshot.load.fail pretends the restore went bad (torn file,
@@ -164,51 +173,39 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
   const std::string manifest_path = ManifestPath(camera_id);
   if (!manifest_path.empty() && !MIVID_FAULT("snapshot.load.fail")) {
     Result<EpochManifest> manifest = ReadEpochManifest(manifest_path);
-    if (manifest.ok() && manifest.value().camera_id == camera_id) {
+    if (manifest.ok() && manifest.value().camera_id == camera_id &&
+        !manifest.value().segments.empty()) {
       // The manifest must cover a prefix of the camera's clips (in
       // order) — anything else (deleted clips, reordering) falls back
       // to full extraction.
       const std::vector<int> covered = manifest.value().AllClips();
-      const bool prefix =
+      bool good =
           covered.size() <= clip_ids.size() &&
           std::equal(covered.begin(), covered.end(), clip_ids.begin());
-      if (prefix) {
-        std::vector<std::shared_ptr<const CameraCorpus>> parts;
-        bool good = true;
-        for (const EpochSegment& seg : manifest.value().segments) {
-          Result<std::shared_ptr<const CameraCorpus>> part =
-              ReadPackedCorpusFile(snapshot_dir_ + "/" + seg.file, query_);
-          if (!part.ok() || part.value()->camera_id != camera_id) {
-            good = false;
-            break;
-          }
-          parts.push_back(std::move(part).value());
+      for (const EpochSegment& seg : manifest.value().segments) {
+        if (!good) break;
+        Result<std::shared_ptr<const CameraCorpus>> part =
+            ReadPackedCorpusFile(snapshot_dir_ + "/" + seg.file, query_);
+        // Segments that disagree on the instance dimension cannot be
+        // one corpus; extract the clips instead.
+        good = part.ok() && part.value()->camera_id == camera_id &&
+               CheckInstanceDim(parts, *part.value()).ok();
+        if (good) parts.push_back(std::move(part).value());
+      }
+      if (good) {
+        epoch_id = manifest.value().epoch;
+        out.segments = manifest.value().segments;
+        out.included.insert(covered.begin(), covered.end());
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++snapshot_hits_;
         }
-        if (good && parts.size() > 1) {
-          // Segments that disagree on the instance dimension cannot be
-          // one corpus; extract the clips instead.
-          auto merged = std::make_shared<CameraCorpus>();
-          merged->camera_id = camera_id;
-          for (const auto& part : parts) {
-            good = good && AppendCorpusBags(*part, merged.get()).ok();
-          }
-          if (good) corpus = merged;
-        } else if (good && !parts.empty()) {
-          corpus = parts[0];  // common case: zero-copy mmap adoption
+        MIVID_METRIC_COUNT("serve/corpus_snapshot_hits", 1);
+        if (RequestAudit* audit = CurrentRequestAudit()) {
+          audit->snapshot_hit = true;
         }
-        if (corpus != nullptr) {
-          epoch_id = manifest.value().epoch;
-          out.segments = manifest.value().segments;
-          out.included.insert(covered.begin(), covered.end());
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++snapshot_hits_;
-          }
-          MIVID_METRIC_COUNT("serve/corpus_snapshot_hits", 1);
-          if (RequestAudit* audit = CurrentRequestAudit()) {
-            audit->snapshot_hit = true;
-          }
-        }
+      } else {
+        parts.clear();
       }
     }
   }
@@ -220,37 +217,36 @@ Result<CorpusManager::LoadedEpoch> CorpusManager::LoadPublished(
   }
   if (!missing.empty()) {
     MIVID_SCOPED_TIMER("serve/corpus_load_seconds");
-    QueryEngine engine(db_);
-    auto built = std::make_shared<CameraCorpus>();
-    built->camera_id = camera_id;
+    auto delta = std::make_shared<CameraCorpus>();
+    delta->camera_id = camera_id;
     int next_bag_id = 0;
-    if (corpus != nullptr) {
-      MIVID_RETURN_IF_ERROR(AppendCorpusBags(*corpus, built.get()));
-      next_bag_id = NextBagId(*built);
-      ++epoch_id;  // restored epoch + fresh clips = a new generation
+    for (const auto& part : parts) {
+      next_bag_id = std::max(next_bag_id, NextBagId(*part));
     }
-    CameraCorpus delta;
-    delta.camera_id = camera_id;
-    int delta_next = next_bag_id;
-    MIVID_RETURN_IF_ERROR(
-        engine.AppendClips(missing, query_, &delta, &delta_next));
-    MIVID_RETURN_IF_ERROR(AppendCorpusBags(delta, built.get()));
-    corpus = built;
+    // A restored epoch plus fresh clips is a new generation.
+    if (!parts.empty()) ++epoch_id;
+    MIVID_RETURN_IF_ERROR(QueryEngine(db_).AppendClips(missing, query_,
+                                                        delta.get(),
+                                                        &next_bag_id));
+    MIVID_RETURN_IF_ERROR(CheckInstanceDim(parts, *delta));
     out.included.insert(missing.begin(), missing.end());
 
     if (!snapshot_dir_.empty()) {
       // Best effort: a failed segment write only costs the next start.
       Result<EpochSegment> seg =
-          WriteSegment(delta, missing, camera_id, out.segments.size(),
+          WriteSegment(*delta, missing, camera_id, out.segments.size(),
                        epoch_id, out.segments);
       if (seg.ok()) out.segments.push_back(std::move(seg).value());
+    }
+    if (parts.empty() || delta->dataset.size() > 0) {
+      parts.push_back(std::move(delta));
     }
   }
 
   auto epoch = std::make_shared<CorpusEpoch>();
   epoch->camera_id = camera_id;
   epoch->id = epoch_id;
-  epoch->parts.push_back(std::move(corpus));
+  epoch->parts = std::move(parts);
   epoch->published_at = std::chrono::steady_clock::now();
   out.epoch = std::move(epoch);
   return out;
@@ -351,10 +347,8 @@ Result<std::shared_ptr<const CorpusEpoch>> CorpusManager::Publish(
   auto delta = std::make_shared<CameraCorpus>();
   delta->camera_id = camera_id;
   int next_bag_id = 0;
-  std::optional<size_t> base_dim;
   for (const auto& part : base->parts) {
     next_bag_id = std::max(next_bag_id, NextBagId(*part));
-    if (!base_dim) base_dim = InstanceDim(part->dataset);
   }
   std::vector<int> delta_clips;
   Status built = Status::OK();
@@ -364,12 +358,7 @@ Result<std::shared_ptr<const CorpusEpoch>> CorpusManager::Publish(
       built = AppendClipBags(clip, query_, delta.get(), &next_bag_id);
     }
   }
-  const std::optional<size_t> delta_dim = InstanceDim(delta->dataset);
-  if (built.ok() && base_dim && delta_dim && *base_dim != *delta_dim) {
-    built = Status::InvalidArgument(StrFormat(
-        "published clips have %zu features per instance; the corpus has %zu",
-        *delta_dim, *base_dim));
-  }
+  if (built.ok()) built = CheckInstanceDim(base->parts, *delta);
   if (!built.ok()) {
     // Clips whose instances do not match the corpus can never publish:
     // drop them and let the next publisher in.

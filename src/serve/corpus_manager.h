@@ -23,8 +23,9 @@
 //
 // The first Snapshot of a camera cold-loads epoch 1 with single-flight
 // semantics: segments restored from the on-disk epoch manifest
-// (db/epoch_manifest.h) when one matches, clips that arrived after the
-// last publish re-extracted, full extraction as the fallback. Every
+// (db/epoch_manifest.h) when one matches, each as its own part, and the
+// clips that arrived after the last publish extracted as one more part;
+// full extraction is the fallback. Every
 // publish appends a packed segment + rewrites the manifest
 // (best-effort), so a restart resumes at the published epoch without
 // re-extracting.
@@ -51,9 +52,10 @@ namespace mivid {
 struct CorpusEpoch {
   std::string camera_id;
   uint64_t id = 0;  ///< monotonic per camera, first publish = 1
-  /// The epoch's bags in id order, as immutable parts: the cold-loaded
-  /// corpus, then one part per publish that added bags. Consecutive
-  /// epochs share all but the newest part.
+  /// The epoch's bags in id order, as immutable parts: the cold load's
+  /// (one per restored segment, plus one for extracted clips), then one
+  /// per publish that added bags. Consecutive epochs share all but the
+  /// newest part.
   std::vector<std::shared_ptr<const CameraCorpus>> parts;
   std::chrono::steady_clock::time_point published_at;
 

@@ -121,16 +121,23 @@ Status LineTransport::StartTcp() {
   return Status::OK();
 }
 
+Status ValidateListeners(const std::string& uds_path, int tcp_port,
+                         bool will_listen) {
+  if (will_listen && uds_path.empty() && tcp_port < 0) {
+    return Status::InvalidArgument(
+        "no listener configured: set a socket path and/or --tcp-port");
+  }
+  if (tcp_port > 65535) {
+    return Status::InvalidArgument("tcp_port out of range: " +
+                                   std::to_string(tcp_port));
+  }
+  return Status::OK();
+}
+
 Status LineTransport::Start() {
   if (started_) return Status::FailedPrecondition("transport already started");
-  if (options_.uds_path.empty() && options_.tcp_port < 0) {
-    return Status::InvalidArgument(
-        "no listener configured (need a socket path or a TCP port)");
-  }
-  if (options_.tcp_port > 65535) {
-    return Status::InvalidArgument("TCP port out of range: " +
-                                   std::to_string(options_.tcp_port));
-  }
+  MIVID_RETURN_IF_ERROR(
+      ValidateListeners(options_.uds_path, options_.tcp_port));
   if (!options_.uds_path.empty()) MIVID_RETURN_IF_ERROR(StartUds());
   if (options_.tcp_port >= 0) {
     Status tcp = StartTcp();

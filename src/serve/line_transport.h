@@ -38,6 +38,12 @@ struct LineTransportOptions {
   int poll_ms = 100;  ///< accept-loop poll period (idle-hook cadence)
 };
 
+/// InvalidArgument unless a TCP port is at most 65535 and, when
+/// `will_listen`, at least one listener is configured. Daemons check
+/// their options with it before they start; Start checks again.
+Status ValidateListeners(const std::string& uds_path, int tcp_port,
+                         bool will_listen = true);
+
 class LineTransport {
  public:
   /// Returns one response line (no trailing newline) for one request
@@ -55,7 +61,7 @@ class LineTransport {
   LineTransport& operator=(const LineTransport&) = delete;
 
   /// Binds the configured listeners and starts the accept thread.
-  /// InvalidArgument when neither listener is configured.
+  /// InvalidArgument when ValidateListeners refuses them.
   Status Start();
 
   /// Closes listeners and every connection, joins all threads.
@@ -65,8 +71,6 @@ class LineTransport {
   /// The TCP port actually bound (resolves port 0), or -1 when TCP is
   /// off or Start has not run.
   int tcp_port() const { return bound_tcp_port_; }
-
-  bool started() const { return started_; }
 
  private:
   /// One accepted connection and the thread that serves it.

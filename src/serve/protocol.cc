@@ -358,6 +358,76 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
   return req;
 }
 
+std::vector<FrameObservations> FramesFromTracks(
+    const std::vector<Track>& tracks, int total_frames, int frame_offset) {
+  std::vector<FrameObservations> frames(total_frames);
+  for (int f = 0; f < total_frames; ++f) frames[f].frame = frame_offset + f;
+  for (const Track& track : tracks) {
+    for (const TrackPoint& point : track.points) {
+      if (point.frame < 0 || point.frame >= total_frames) continue;
+      TrackObservation obs;
+      obs.track_id = track.id;
+      obs.centroid = point.centroid;
+      obs.bbox = point.bbox;
+      frames[point.frame].observations.push_back(obs);
+    }
+  }
+  return frames;
+}
+
+std::string IngestRequestLine(const std::string& camera,
+                              const std::vector<FrameObservations>& frames,
+                              const std::vector<IncidentRecord>& incidents,
+                              bool cut, bool publish) {
+  std::string frames_json = "[";
+  for (const FrameObservations& frame : frames) {
+    if (frames_json.size() > 1) frames_json += ',';
+    std::string obs_json = "[";
+    for (const TrackObservation& obs : frame.observations) {
+      if (obs_json.size() > 1) obs_json += ',';
+      std::string bbox = "[";
+      for (double edge : {obs.bbox.min_x, obs.bbox.min_y, obs.bbox.max_x,
+                          obs.bbox.max_y}) {
+        if (bbox.size() > 1) bbox += ',';
+        AppendDouble(&bbox, edge);
+      }
+      JsonLineBuilder entry;
+      entry.Int("track", obs.track_id)
+          .Num("x", obs.centroid.x)
+          .Num("y", obs.centroid.y)
+          .Raw("bbox", bbox + ']');
+      obs_json += std::move(entry).Build();
+    }
+    JsonLineBuilder entry;
+    entry.Int("frame", frame.frame).Raw("obs", obs_json + ']');
+    frames_json += std::move(entry).Build();
+  }
+  std::string incidents_json = "[";
+  for (const IncidentRecord& incident : incidents) {
+    if (incidents_json.size() > 1) incidents_json += ',';
+    std::string vehicles = "[";
+    for (int id : incident.vehicle_ids) {
+      if (vehicles.size() > 1) vehicles += ',';
+      AppendInt(&vehicles, id);
+    }
+    JsonLineBuilder entry;
+    entry.Str("type", IncidentTypeName(incident.type))
+        .Int("begin", incident.begin_frame)
+        .Int("end", incident.end_frame)
+        .Raw("vehicles", vehicles + ']');
+    incidents_json += std::move(entry).Build();
+  }
+  JsonLineBuilder out;
+  out.Str("cmd", "ingest")
+      .Str("v", kProtocolVersion)
+      .Str("camera", camera)
+      .Raw("frames", frames_json + ']')
+      .Raw("incidents", incidents_json + ']')
+      .Bool("cut", cut)
+      .Bool("publish", publish);
+  return std::move(out).Build();
+}
+
 const char* ServeCmdWireName(ServeCmd cmd) {
   return NameOf(kWireNames, cmd, "?");
 }

@@ -51,6 +51,7 @@
 #include "common/status.h"
 #include "ingest/stream_types.h"
 #include "mil/bag.h"
+#include "trajectory/trajectory.h"
 
 namespace mivid {
 
@@ -122,6 +123,21 @@ struct ServeRequest {
 /// Parses one request line. InvalidArgument on malformed JSON, unknown
 /// commands, unknown labels, or missing required fields.
 Result<ServeRequest> ParseServeRequest(std::string_view line);
+
+/// Replays stored tracks as the per-frame observation stream a live
+/// tracker front end would deliver: one entry per frame of the clip,
+/// shifted by `frame_offset` into absolute stream frames.
+std::vector<FrameObservations> FramesFromTracks(
+    const std::vector<Track>& tracks, int total_frames, int frame_offset = 0);
+
+/// Writes one `ingest` request line, the inverse of ParseServeRequest's
+/// ingest fields. Numbers go through AppendDouble, whose JSON round-trip
+/// is bit-exact, so a streamed corpus matches a batch rebuild bitwise
+/// (docs/ingest.md).
+std::string IngestRequestLine(const std::string& camera,
+                              const std::vector<FrameObservations>& frames,
+                              const std::vector<IncidentRecord>& incidents,
+                              bool cut, bool publish);
 
 /// Wire spelling of a command ("open", "cluster_stats", ...).
 const char* ServeCmdWireName(ServeCmd cmd);

@@ -21,10 +21,6 @@ namespace mivid {
 
 namespace {
 
-/// Milliseconds between poll() wakeups in the accept loop; bounds both
-/// shutdown latency and the idle-eviction sweep interval.
-constexpr int kAcceptPollMs = 100;
-
 /// Releases one admission slot on scope exit.
 struct AdmissionSlot {
   std::atomic<int>* in_flight;
@@ -65,14 +61,8 @@ void MaybeInjectWorkerFault(const std::string& worker_id, ServeCmd cmd) {
 }  // namespace
 
 Status ValidateServeOptions(const ServeOptions& options, bool will_listen) {
-  if (will_listen && options.socket_path.empty() && options.tcp_port < 0) {
-    return Status::InvalidArgument(
-        "no listener configured: set a socket path and/or --tcp-port");
-  }
-  if (options.tcp_port > 65535) {
-    return Status::InvalidArgument("tcp_port out of range: " +
-                                   std::to_string(options.tcp_port));
-  }
+  MIVID_RETURN_IF_ERROR(ValidateListeners(
+      options.daemon.socket_path, options.daemon.tcp_port, will_listen));
   if (options.top_n == 0) {
     return Status::InvalidArgument("top_n must be positive");
   }
@@ -128,44 +118,28 @@ Status ValidateServeOptions(const ServeOptions& options, bool will_listen) {
 }
 
 RetrievalServer::RetrievalServer(VideoDb* db, ServeOptions options)
-    : db_(db),
+    : LineDaemon(options.daemon,
+                 {"worker",
+                  options.worker_id.empty() ? "serve" : options.worker_id,
+                  ServeCmdSpanName, "serve/requests", "serve/errors",
+                  "serve/request_seconds"}),
+      db_(db),
       options_(std::move(options)),
       corpora_(db, options_.query, options_.corpus_snapshot_dir),
       sessions_(db, &corpora_,
                 SessionManagerOptions{options_.default_engine,
                                       options_.max_sessions,
                                       options_.idle_timeout_ms,
-                                      options_.top_n}) {
-  access_log_.OpenOrWarn({options_.access_log_path, options_.slow_log_path,
-                          options_.slow_threshold_ms});
-}
+                                      options_.top_n}) {}
 
 RetrievalServer::~RetrievalServer() { Stop(); }
 
-std::string RetrievalServer::HandleLine(const std::string& line) {
-  MIVID_SCOPED_TIMER("serve/request_seconds");
-  MIVID_METRIC_COUNT("serve/requests", 1);
-  // Anchor the request's "deadline_ms" budget at arrival: whatever part
-  // of it parsing and admission spend is gone for good.
-  const std::chrono::steady_clock::time_point arrival =
-      std::chrono::steady_clock::now();
+Status RetrievalServer::Prepare() {
+  return ValidateServeOptions(options_, /*will_listen=*/true);
+}
 
-  Result<ServeRequest> parsed = ParseServeRequest(line);
-  if (!parsed.ok()) {
-    MIVID_METRIC_COUNT("serve/errors", 1);
-    return ErrorResponse(parsed.status());
-  }
-  const ServeRequest& req = parsed.value();
-
-  // Distributed trace span for the whole request: joins the context the
-  // sender stamped onto the line (coordinator or client), or roots a
-  // fresh trace. Inert when tracing is off.
-  ContextSpan span(ServeCmdSpanName(req.cmd), req.trace_id, req.parent_span);
-
-  // The audit (latency breakdown) only runs when an access log is
-  // configured; disabled it costs one bool read and no clock reads.
-  AccessEnvelope envelope(&access_log_);
-
+std::string RetrievalServer::Handle(const DaemonRequest& request) {
+  const ServeRequest& req = request.req;
   // Bounded admission: hold one in-flight slot for the request lifetime,
   // or reject right away so callers see backpressure instead of latency.
   const int depth = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -181,25 +155,23 @@ std::string RetrievalServer::HandleLine(const std::string& line) {
         " in flight); retry later"));
   } else {
     if (options_.admission_hook) options_.admission_hook(req);
-    response = Dispatch(req, envelope.audit(), arrival);
+    // Sheds a request whose wire deadline lapsed between arrival and
+    // execution (parse and admission): answering it late would only feed
+    // a coordinator that already failed over.
+    if (req.deadline_ms > 0 &&
+        std::chrono::steady_clock::now() - request.arrival >=
+            std::chrono::milliseconds(req.deadline_ms)) {
+      MIVID_METRIC_COUNT("serve/deadline_shed", 1);
+      response = ErrorResponse(Status::DeadlineExceeded(
+          "deadline of " + std::to_string(req.deadline_ms) +
+          "ms expired before dispatch; shedding"));
+    } else {
+      // The request runs on the connection thread that read it, so
+      // responses on one connection stay strictly ordered.
+      response = Execute(req);
+    }
     served_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  // camera_id and engine are immutable after Build, so reading them
-  // without the session mutex is safe.
-  envelope.Write(
-      "worker", options_.worker_id.empty() ? "serve" : options_.worker_id, req,
-      span, line, response, [this](const std::string& session_id) {
-        SessionIdentity identity;
-        Result<std::shared_ptr<ServeSession>> live = sessions_.Get(session_id);
-        if (live.ok()) {
-          if (!live.value()->camera_id.empty()) {
-            identity.cameras.push_back(live.value()->camera_id);
-          }
-          identity.engine = live.value()->engine;
-        }
-        return identity;
-      });
   // worker.reply.truncate hands the client half a response line — the
   // shape of a worker dying mid-write — to exercise the coordinator's
   // malformed-reply handling.
@@ -210,28 +182,18 @@ std::string RetrievalServer::HandleLine(const std::string& line) {
   return response;
 }
 
-std::string RetrievalServer::Dispatch(
-    const ServeRequest& req, RequestAudit* audit,
-    std::chrono::steady_clock::time_point arrival) {
-  // Sheds a request whose wire deadline lapsed between arrival and
-  // execution (parse and admission): answering it late would only feed a
-  // coordinator that already failed over.
-  if (req.deadline_ms > 0) {
-    const int64_t waited_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - arrival)
-            .count();
-    if (waited_ms >= req.deadline_ms) {
-      MIVID_METRIC_COUNT("serve/deadline_shed", 1);
-      return ErrorResponse(Status::DeadlineExceeded(
-          "deadline of " + std::to_string(req.deadline_ms) +
-          "ms expired before dispatch; shedding"));
+SessionIdentity RetrievalServer::ResolveSession(const std::string& session_id) {
+  // camera_id and engine are immutable after Build, so reading them
+  // without the session mutex is safe.
+  SessionIdentity identity;
+  Result<std::shared_ptr<ServeSession>> live = sessions_.Get(session_id);
+  if (live.ok()) {
+    if (!live.value()->camera_id.empty()) {
+      identity.cameras.push_back(live.value()->camera_id);
     }
+    identity.engine = live.value()->engine;
   }
-  // The request runs on the connection thread that read it, so responses
-  // on one connection stay strictly ordered.
-  RequestAuditScope scope(audit);
-  return Execute(req);
+  return identity;
 }
 
 std::string RetrievalServer::Execute(const ServeRequest& req) {
@@ -250,7 +212,7 @@ std::string RetrievalServer::Execute(const ServeRequest& req) {
     case ServeCmd::kStats:
       return CmdStats(req);
     case ServeCmd::kShutdown:
-      return CmdShutdown(req);
+      return ShutdownReply();
     case ServeCmd::kPing:
       return CmdPing(req);
     case ServeCmd::kMetrics:
@@ -424,13 +386,6 @@ std::string RetrievalServer::CmdStats(const ServeRequest&) {
       .Int("requests_served", static_cast<int64_t>(served_.load()))
       .Int("requests_rejected", static_cast<int64_t>(rejected_.load()))
       .Int("in_flight", in_flight_.load());
-  return std::move(out).Build();
-}
-
-std::string RetrievalServer::CmdShutdown(const ServeRequest&) {
-  RequestShutdown();
-  JsonLineBuilder out;
-  out.Bool("ok", true).Str("cmd", "shutdown").Bool("shutting_down", true);
   return std::move(out).Build();
 }
 
@@ -622,76 +577,12 @@ std::string RetrievalServer::CmdPublish(const ServeRequest& req) {
   return std::move(out).Build();
 }
 
-int64_t RetrievalServer::UptimeSeconds() const {
-  return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::steady_clock::now() - start_time_)
-      .count();
-}
-
-void RetrievalServer::RequestShutdown() {
-  std::lock_guard<std::mutex> lock(shutdown_mu_);
-  shutdown_requested_ = true;
-  shutdown_cv_.notify_all();
-}
-
-void RetrievalServer::WaitForShutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mu_);
-  shutdown_cv_.wait(lock, [this] {
-    return shutdown_requested_ || stopping_.load(std::memory_order_acquire);
-  });
-}
-
-bool RetrievalServer::WaitForShutdownFor(int timeout_ms) {
-  std::unique_lock<std::mutex> lock(shutdown_mu_);
-  return shutdown_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                               [this] {
-                                 return shutdown_requested_ ||
-                                        stopping_.load(
-                                            std::memory_order_acquire);
-                               });
-}
-
-Status RetrievalServer::Start() {
-  MIVID_RETURN_IF_ERROR(ValidateServeOptions(options_, /*will_listen=*/true));
-  LineTransportOptions transport;
-  transport.uds_path = options_.socket_path;
-  transport.tcp_host = options_.tcp_host;
-  transport.tcp_port = options_.tcp_port;
-  transport.poll_ms = kAcceptPollMs;
-  transport_ = std::make_unique<LineTransport>(
-      std::move(transport),
-      [this](const std::string& line) { return HandleLine(line); },
-      [this] { sessions_.EvictIdle(); });
-  Status started = transport_->Start();
-  if (!started.ok()) {
-    transport_.reset();
-    return started;
-  }
-  MIVID_LOG(Info) << "mivid_serve listening on "
-                  << (options_.socket_path.empty() ? "<no uds>"
-                                                   : options_.socket_path)
-                  << (transport_->tcp_port() >= 0
-                          ? " and " + options_.tcp_host + ":" +
-                                std::to_string(transport_->tcp_port())
-                          : "");
-  return Status::OK();
-}
-
-int RetrievalServer::tcp_port() const {
-  return transport_ != nullptr ? transport_->tcp_port() : -1;
-}
-
-void RetrievalServer::Stop() {
-  if (stopped_) return;
-  stopping_.store(true, std::memory_order_release);
-  RequestShutdown();
-  if (transport_ != nullptr) transport_->Stop();
+void RetrievalServer::OnStop() {
   Status saved = sessions_.SaveAll();
   if (!saved.ok()) {
     MIVID_LOG(Warn) << "failed to journal sessions on shutdown: "
                     << saved.message();
   }
-  stopped_ = true;
 }
 
 }  // namespace mivid

@@ -22,15 +22,14 @@
 //  * Per-session mutexes serialize commands against one session; requests
 //    on different sessions run in parallel over shared immutable corpora.
 //
-// HandleLine() is the transport-independent core (parse -> admit ->
-// execute -> format); tests drive it in-process without a socket.
+// It is the worker role of the daemon shell (serve/daemon.h), whose
+// HandleLine() tests drive in-process without a socket.
 
 #ifndef MIVID_SERVE_SERVER_H_
 #define MIVID_SERVE_SERVER_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -40,9 +39,8 @@
 #include <vector>
 
 #include "ingest/camera_ingestor.h"
-#include "obs/access_log.h"
 #include "serve/corpus_manager.h"
-#include "serve/line_transport.h"
+#include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/session_manager.h"
 
@@ -50,9 +48,7 @@ namespace mivid {
 
 /// Daemon configuration.
 struct ServeOptions {
-  std::string socket_path;  ///< Unix-domain socket; "" = no UDS listener
-  int tcp_port = -1;        ///< TCP listener; <0 = off, 0 = kernel-assigned
-  std::string tcp_host = "127.0.0.1";  ///< TCP bind address
+  DaemonOptions daemon;     ///< listeners and logs
   std::string worker_id;    ///< fleet identity reported by ping/stats
   std::string default_engine = "milrf";
   size_t max_pending = 64;   ///< in-flight request bound; 0 = unbounded
@@ -69,13 +65,6 @@ struct ServeOptions {
   int ingest_clip_frames = 0;
   int ingest_retire_frames = 25;
 
-  /// Per-request JSON-lines access log (obs/access_log.h); "" = off.
-  std::string access_log_path;
-  /// Slow-query log: requests >= the slow threshold; "" = off.
-  std::string slow_log_path;
-  /// Slow threshold in ms; negative = MIVID_SLOW_QUERY_MS env (or 500).
-  double slow_threshold_ms = -1.0;
-
   /// Test-only: runs after a request is admitted (slot held) and before
   /// it executes. Blocking here holds the slot, which lets tests fill the
   /// admission window deterministically.
@@ -90,38 +79,12 @@ struct ServeOptions {
 Status ValidateServeOptions(const ServeOptions& options,
                             bool will_listen = true);
 
-class RetrievalServer {
+class RetrievalServer : public LineDaemon {
  public:
   /// `db` must outlive the server.
   RetrievalServer(VideoDb* db, ServeOptions options);
-  ~RetrievalServer();
-
-  RetrievalServer(const RetrievalServer&) = delete;
-  RetrievalServer& operator=(const RetrievalServer&) = delete;
-
-  /// Handles one request line and returns one response line (no trailing
-  /// newline). Thread-safe; this is the full server path minus the
-  /// socket, shared by connection threads and in-process tests.
-  std::string HandleLine(const std::string& line);
-
-  /// Validates the options, binds the configured listeners (UDS and/or
-  /// TCP), and starts accepting connections.
-  Status Start();
-
-  /// The bound TCP port after Start() (resolves --tcp-port=0), or -1.
-  int tcp_port() const;
-
-  /// Blocks until a shutdown command arrives or Stop() is called.
-  void WaitForShutdown();
-
-  /// Like WaitForShutdown, but returns after `timeout_ms` at the latest.
-  /// True when shutdown was requested — lets a main loop interleave its
-  /// own checks (e.g. a signal flag) with the wait.
-  bool WaitForShutdownFor(int timeout_ms);
-
-  /// Graceful stop: closes the listener and every connection, joins all
-  /// threads, journals every live session. Idempotent.
-  void Stop();
+  /// Stops, which journals every live session.
+  ~RetrievalServer() override;
 
   SessionManager& sessions() { return sessions_; }
   CorpusManager& corpora() { return corpora_; }
@@ -130,8 +93,15 @@ class RetrievalServer {
   uint64_t requests_rejected() const { return rejected_.load(); }
 
  private:
-  std::string Dispatch(const ServeRequest& req, RequestAudit* audit,
-                       std::chrono::steady_clock::time_point arrival);
+  Status Prepare() override;
+  /// Bounded admission, the wire-deadline shed, then the command; the
+  /// worker.reply.truncate fault cuts the reply it returns.
+  std::string Handle(const DaemonRequest& request) override;
+  SessionIdentity ResolveSession(const std::string& session_id) override;
+  void OnIdle() override { sessions_.EvictIdle(); }
+  /// Journals every live session once the transport has stopped.
+  void OnStop() override;
+
   std::string Execute(const ServeRequest& req);
   std::string CmdOpen(const ServeRequest& req);
   std::string CmdRank(const ServeRequest& req);
@@ -139,7 +109,6 @@ class RetrievalServer {
   std::string CmdSave(const ServeRequest& req);
   std::string CmdClose(const ServeRequest& req);
   std::string CmdStats(const ServeRequest& req);
-  std::string CmdShutdown(const ServeRequest& req);
   std::string CmdPing(const ServeRequest& req);
   std::string CmdMetrics(const ServeRequest& req);
   std::string CmdClusterStats(const ServeRequest& req);
@@ -151,29 +120,16 @@ class RetrievalServer {
   /// The camera's live ingestor, created on first use.
   std::shared_ptr<CameraIngestor> IngestorFor(const std::string& camera_id);
 
-  void RequestShutdown();
-  int64_t UptimeSeconds() const;
-
   VideoDb* db_;
   const ServeOptions options_;
   CorpusManager corpora_;
   SessionManager sessions_;
-  std::unique_ptr<LineTransport> transport_;
-  AccessLog access_log_;
   std::mutex ingest_mu_;  ///< guards ingestors_ (not the ingestors)
   std::map<std::string, std::shared_ptr<CameraIngestor>> ingestors_;
-  const std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
 
   std::atomic<int> in_flight_{0};
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> rejected_{0};
-  std::atomic<bool> stopping_{false};
-  bool stopped_ = false;  ///< Stop() ran to completion (main thread only)
-
-  std::mutex shutdown_mu_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
 };
 
 }  // namespace mivid

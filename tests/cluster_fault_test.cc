@@ -260,7 +260,7 @@ TEST(RetryTest, CallWithRetryRidesOutAServerRestart) {
   const std::string sock = dir.path() + "/serve.sock";
 
   ServeOptions options;
-  options.socket_path = sock;
+  options.daemon.socket_path = sock;
   auto server =
       std::make_unique<RetrievalServer>(Env().db.get(), options);
   ASSERT_TRUE(server->Start().ok());
@@ -292,7 +292,7 @@ TEST(RetryTest, ExhaustedTransientRetriesSurfaceTheError) {
   fs::create_directories(dir.path());
   const std::string sock = dir.path() + "/serve.sock";
   ServeOptions options;
-  options.socket_path = sock;
+  options.daemon.socket_path = sock;
   auto server =
       std::make_unique<RetrievalServer>(Env().db.get(), options);
   ASSERT_TRUE(server->Start().ok());
@@ -315,7 +315,7 @@ TEST(RetryTest, ExhaustedTransientRetriesSurfaceTheError) {
 
 TEST(ClientDeadlineTest, HungWorkerCallReturnsWithinBudget) {
   ServeOptions options;
-  options.tcp_port = 0;
+  options.daemon.tcp_port = 0;
   options.worker_id = "whang";
   RetrievalServer server(Env().db.get(), options);
   ASSERT_TRUE(server.Start().ok());
@@ -367,7 +367,7 @@ TEST(ShedTest, RequestExpiredBeforeDispatchIsShedNotServed) {
 
 TEST(TransportFaultTest, ShortWritesAndReadsDeliverWholeLines) {
   ServeOptions options;
-  options.tcp_port = 0;
+  options.daemon.tcp_port = 0;
   RetrievalServer server(Env().db.get(), options);
   ASSERT_TRUE(server.Start().ok());
   Result<ServeClient> client = ServeClient::Connect(
@@ -403,7 +403,7 @@ struct FaultFleet {
              size_t max_sessions = 64, int heartbeat_ms = 0) {
     for (int i = 0; i < worker_count; ++i) {
       ServeOptions options;
-      options.tcp_port = 0;
+      options.daemon.tcp_port = 0;
       options.worker_id = "w" + std::to_string(i);
       options.max_sessions = max_sessions;
       auto server =
@@ -415,7 +415,7 @@ struct FaultFleet {
       workers.push_back(std::move(server));
     }
     CoordinatorOptions options;
-    options.tcp_port = 0;
+    options.daemon.tcp_port = 0;
     options.workers = endpoints;
     options.replication = replication;
     options.rpc_deadline_ms = rpc_deadline_ms;
@@ -541,7 +541,7 @@ TEST(CoordinatorFaultTest, RestartedWorkerResumesSessionInPlace) {
   fleet.workers[home[0]]->Stop();
   ASSERT_TRUE(fleet.WaitWorkersAlive(1));
   ServeOptions options;
-  options.tcp_port = port;
+  options.daemon.tcp_port = port;
   options.worker_id = fleet.worker_ids[home[0]];
   auto twin = std::make_unique<RetrievalServer>(Env().db.get(), options);
   ASSERT_TRUE(twin->Start().ok());
@@ -676,7 +676,7 @@ TEST(CoordinatorFaultTest, DeadlineMissesAreDistinguishedFromIoDeath) {
   // Direct registry-level check: a deadline miss keeps its status code
   // through the registry wrapper so callers can hedge on it.
   ServeOptions options;
-  options.tcp_port = 0;
+  options.daemon.tcp_port = 0;
   options.worker_id = "wslow";
   RetrievalServer server(Env().db.get(), options);
   ASSERT_TRUE(server.Start().ok());
@@ -740,7 +740,7 @@ TEST(CoordinatorFaultTest, UnreadableRankItemsFailTheRankNeverReadAsBagZero) {
         std::string(R"({"ok":true,"cmd":"rank","total":1,"ranking":[)") +
         item + "]}");
     CoordinatorOptions options;
-    options.tcp_port = 0;
+    options.daemon.tcp_port = 0;
     options.workers = {worker.endpoint()};
     Coordinator coord(options);
     ASSERT_TRUE(coord.Start().ok());

@@ -365,9 +365,9 @@ TEST(ServerAccessLogTest, HandleLineWritesSchemaCompleteEntries) {
 
   ServeOptions options;
   options.worker_id = "w9";
-  options.access_log_path = dir.path() + "/access.log";
-  options.slow_log_path = dir.path() + "/slow.log";
-  options.slow_threshold_ms = 0.0;  // every request is "slow"
+  options.daemon.access_log_path = dir.path() + "/access.log";
+  options.daemon.slow_log_path = dir.path() + "/slow.log";
+  options.daemon.slow_threshold_ms = 0.0;  // every request is "slow"
   RetrievalServer server(db.get(), options);
 
   ASSERT_TRUE(IsOk(Parse(server.HandleLine(
@@ -380,7 +380,7 @@ TEST(ServerAccessLogTest, HandleLineWritesSchemaCompleteEntries) {
   ASSERT_TRUE(IsOk(Parse(server.HandleLine(
       R"({"cmd":"close","session":"al1","discard":true})"))));
 
-  const auto lines = ReadLines(options.access_log_path);
+  const auto lines = ReadLines(options.daemon.access_log_path);
   ASSERT_EQ(lines.size(), 4u);
   const JsonValue rank = Parse(lines[1]);
   EXPECT_EQ(rank.Find("role")->string, "worker");
@@ -401,7 +401,7 @@ TEST(ServerAccessLogTest, HandleLineWritesSchemaCompleteEntries) {
   EXPECT_EQ(failed.Find("status")->string, "NOT_FOUND");
 
   // Threshold 0 mirrors everything to the slow log.
-  EXPECT_EQ(ReadLines(options.slow_log_path).size(), 4u);
+  EXPECT_EQ(ReadLines(options.daemon.slow_log_path).size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ struct ObsFleet {
   explicit ObsFleet(const std::string& coord_access_log = "") {
     for (int i = 0; i < 2; ++i) {
       ServeOptions options;
-      options.tcp_port = 0;
+      options.daemon.tcp_port = 0;
       options.worker_id = "w" + std::to_string(i);
       auto server =
           std::make_unique<RetrievalServer>(FleetEnv().db.get(), options);
@@ -457,10 +457,10 @@ struct ObsFleet {
       workers.push_back(std::move(server));
     }
     CoordinatorOptions options;
-    options.tcp_port = 0;
+    options.daemon.tcp_port = 0;
     options.workers = endpoints;
-    options.access_log_path = coord_access_log;
-    options.slow_threshold_ms = coord_access_log.empty() ? -1.0 : 1e9;
+    options.daemon.access_log_path = coord_access_log;
+    options.daemon.slow_threshold_ms = coord_access_log.empty() ? -1.0 : 1e9;
     coord = std::make_unique<Coordinator>(options);
     if (!coord->Start().ok()) std::abort();
   }

@@ -25,7 +25,6 @@
 #include "obs/json.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
-#include "ingest_lines.h"
 
 namespace mivid {
 namespace {
@@ -208,12 +207,12 @@ TEST(MergerTest, MergeIsShardingInvariant) {
 
 TEST(CoordinatorOptionsTest, ValidationFailsFast) {
   CoordinatorOptions good;
-  good.socket_path = "/tmp/mivid_coord_validate.sock";
+  good.daemon.socket_path = "/tmp/mivid_coord_validate.sock";
   good.workers = {"127.0.0.1:1", "127.0.0.1:2"};
   EXPECT_TRUE(ValidateCoordinatorOptions(good).ok());
 
   CoordinatorOptions no_listener = good;
-  no_listener.socket_path.clear();
+  no_listener.daemon.socket_path.clear();
   EXPECT_TRUE(
       ValidateCoordinatorOptions(no_listener).IsInvalidArgument());
 
@@ -283,7 +282,7 @@ struct Fleet {
     if (db == nullptr) db = Env().db.get();
     for (int i = 0; i < 3; ++i) {
       ServeOptions options;
-      options.tcp_port = 0;  // kernel-assigned: tests never collide
+      options.daemon.tcp_port = 0;  // kernel-assigned: tests never collide
       options.worker_id = "w" + std::to_string(i);
       auto server = std::make_unique<RetrievalServer>(db, options);
       if (!server->Start().ok()) std::abort();
@@ -292,7 +291,7 @@ struct Fleet {
       workers.push_back(std::move(server));
     }
     CoordinatorOptions options;
-    options.tcp_port = 0;
+    options.daemon.tcp_port = 0;
     options.workers = endpoints;
     coord = std::make_unique<Coordinator>(options);
     if (!coord->Start().ok()) std::abort();
@@ -581,7 +580,7 @@ StreamedClip SimulateStream(int total_frames) {
   options.num_uturns = 0;
   TrafficWorld world(MakeTunnelScenario(options));
   const GroundTruth gt = world.Run();
-  return StreamedClip{test::FramesFromTracks(gt.tracks, gt.total_frames),
+  return StreamedClip{FramesFromTracks(gt.tracks, gt.total_frames),
                       gt.incidents};
 }
 
@@ -642,12 +641,12 @@ TEST(ClusterTest, CameraRelayedIngestAndPublishMatchTheOwningWorker) {
   const StreamedClip clip = SimulateStream(500);
   const size_t half = clip.frames.size() / 2;
   const std::vector<std::string> script = {
-      test::IngestLine("live0",
-                       {clip.frames.begin(), clip.frames.begin() + half}, {},
-                       /*cut=*/false, /*publish=*/false),
-      test::IngestLine("live0",
-                       {clip.frames.begin() + half, clip.frames.end()},
-                       clip.incidents, /*cut=*/true, /*publish=*/false),
+      IngestRequestLine("live0",
+                        {clip.frames.begin(), clip.frames.begin() + half}, {},
+                        /*cut=*/false, /*publish=*/false),
+      IngestRequestLine("live0",
+                        {clip.frames.begin() + half, clip.frames.end()},
+                        clip.incidents, /*cut=*/true, /*publish=*/false),
       R"({"cmd":"publish","camera":"live0"})",
       R"({"cmd":"open","session":"live","camera":"live0"})",
       R"({"cmd":"rank","session":"live","top":-1})",
@@ -672,7 +671,7 @@ TEST(ClusterTest, IngestFailsOverToTheNextRingOwner) {
 
   const StreamedClip clip = SimulateStream(500);
   const size_t half = clip.frames.size() / 2;
-  ASSERT_TRUE(IsOk(Parse(fleet.Call(test::IngestLine(
+  ASSERT_TRUE(IsOk(Parse(fleet.Call(IngestRequestLine(
       "live1", {clip.frames.begin(), clip.frames.begin() + half}, {},
       /*cut=*/false, /*publish=*/false)))));
   const std::vector<int> owner = BusyWorkers(fleet);
@@ -682,7 +681,7 @@ TEST(ClusterTest, IngestFailsOverToTheNextRingOwner) {
   // The next batch lands on the next ring owner: a fresh ingestor that
   // never saw the first half (its frames died with the old owner). It
   // answers exactly as a lone worker given only this batch would.
-  const std::string rest = test::IngestLine(
+  const std::string rest = IngestRequestLine(
       "live1", {clip.frames.begin() + half, clip.frames.end()},
       clip.incidents, /*cut=*/true, /*publish=*/true);
   RetrievalServer solo(solo_db.get(), ServeOptions{});

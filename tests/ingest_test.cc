@@ -30,11 +30,11 @@
 #include "ingest/clip_extractor.h"
 #include "ingest/track_builder.h"
 #include "obs/json.h"
+#include "retrieval/session.h"
 #include "serve/corpus_manager.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "trafficsim/scenarios.h"
-#include "ingest_lines.h"
 
 namespace mivid {
 namespace {
@@ -68,8 +68,6 @@ GroundTruth SimulateTunnel(int total_frames, uint64_t seed) {
   return world.Run();
 }
 
-using test::FramesFromTracks;
-using test::IngestLine;
 
 /// The epoch's parts merged into one corpus, provenance and truth
 /// included, for bitwise comparison with a batch build.
@@ -487,6 +485,94 @@ TEST(CorpusManagerTest, ColdRestoreFromSegmentsMatchesExtraction) {
   ExpectCorpusBitIdentical(Merged(*extracted.value()), Merged(*published));
 }
 
+/// Three feedback rounds over the epoch's bags, the oracle labelling
+/// each round's top bags: every round's full ranking, scores included.
+std::vector<std::vector<ScoredBag>> RankRounds(const CorpusEpoch& epoch,
+                                               const QueryOptions& query) {
+  std::map<int, BagLabel> truth;
+  for (const auto& part : epoch.parts) {
+    truth.insert(part->truth.begin(), part->truth.end());
+  }
+  auto session =
+      RetrievalSession::Create(epoch.Dataset(), SessionOptionsFor(query));
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) return {};
+  std::vector<std::vector<ScoredBag>> rounds;
+  for (int round = 0; round < 3; ++round) {
+    rounds.push_back(session->CurrentRanking());
+    std::vector<std::pair<int, BagLabel>> labels;
+    for (int id : session->TopBags()) labels.emplace_back(id, truth.at(id));
+    EXPECT_TRUE(session->SubmitFeedback(labels).ok());
+  }
+  return rounds;
+}
+
+TEST(CorpusManagerTest, ThreePublishRestoreIsMultiPartAndRanksAsExtraction) {
+  TempDir db_dir("mivid_ingest_parts_db");
+  TempDir snap_dir("mivid_ingest_parts_snap");
+  fs::create_directories(snap_dir.path());
+  VideoDbOptions db_options;
+  db_options.create_if_missing = true;
+  auto opened = VideoDb::Open(db_dir.path(), db_options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<VideoDb> db = std::move(opened).value();
+  auto ingest = [&](uint64_t seed) {
+    const GroundTruth gt = SimulateTunnel(400, seed);
+    ClipInfo info;
+    info.camera_id = "camP";
+    info.total_frames = gt.total_frames;
+    Result<int> clip = db->IngestClip(info, gt.tracks, gt.incidents);
+    EXPECT_TRUE(clip.ok()) << clip.status().ToString();
+    return clip.ok() ? clip.value() : -1;
+  };
+
+  const QueryOptions query;
+  ingest(/*seed=*/21);
+  {
+    // A cold extraction writes segment 0; each of three publishes adds
+    // one more.
+    CorpusManager corpora(db.get(), query, snap_dir.path());
+    ASSERT_TRUE(corpora.Snapshot("camP").ok());
+    for (uint64_t seed : {22, 23, 24}) {
+      auto record = db->LoadClip(ingest(seed));
+      ASSERT_TRUE(record.ok());
+      ASSERT_TRUE(
+          corpora.Append("camP", ExtractClip(record.value(), query)).ok());
+      ASSERT_TRUE(corpora.Publish("camP").ok());
+    }
+  }
+  // A clip persisted after the last publish: the cold load extracts it.
+  ingest(/*seed=*/25);
+
+  CorpusManager restored(db.get(), query, snap_dir.path());
+  auto epoch = restored.Snapshot("camP");
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(restored.stats().snapshot_hits, 1u);
+  // Four restored segments, each its own part, and the late clip as one
+  // more: nothing was merged by copy.
+  ASSERT_EQ(epoch.value()->parts.size(), 5u);
+  EXPECT_EQ(epoch.value()->id, 5u);
+
+  CorpusManager fresh(db.get(), query);
+  auto extracted = fresh.Snapshot("camP");
+  ASSERT_TRUE(extracted.ok());
+  ASSERT_EQ(extracted.value()->parts.size(), 1u);
+  ExpectCorpusBitIdentical(Merged(*epoch.value()),
+                           Merged(*extracted.value()));
+
+  const auto want = RankRounds(*extracted.value(), query);
+  const auto got = RankRounds(*epoch.value(), query);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    ASSERT_EQ(got[r].size(), want[r].size());
+    for (size_t i = 0; i < want[r].size(); ++i) {
+      EXPECT_EQ(got[r][i].bag_id, want[r][i].bag_id);
+      EXPECT_EQ(got[r][i].score, want[r][i].score);
+    }
+  }
+}
+
 // Finding: ReadEpochManifest took any segment "file", so a manifest
 // naming "../<dir>/<seg>" made the cold load read a segment from outside
 // the snapshot dir. Such a manifest is now corrupt: the camera's clips
@@ -745,8 +831,8 @@ TEST(ServeIngestTest, EpochPinnedRanksAreByteIdenticalAcrossPublish) {
   // nothing but the ingest API — no batch load ever ran.
   const GroundTruth gt1 = SimulateTunnel(500, /*seed=*/61);
   const JsonValue ingested1 = Parse(server.HandleLine(
-      IngestLine("camL", FramesFromTracks(gt1.tracks, gt1.total_frames),
-                 gt1.incidents, /*cut=*/true, /*publish=*/true)));
+      IngestRequestLine("camL", FramesFromTracks(gt1.tracks, gt1.total_frames),
+                        gt1.incidents, /*cut=*/true, /*publish=*/true)));
   ASSERT_TRUE(IsOk(ingested1));
   EXPECT_EQ(IntField(ingested1, "frames"), gt1.total_frames);
   EXPECT_GE(IntField(ingested1, "clip"), 0);
@@ -775,7 +861,7 @@ TEST(ServeIngestTest, EpochPinnedRanksAreByteIdenticalAcrossPublish) {
   // Stream clip 2 + publish epoch 2 while the session stays open.
   const GroundTruth gt2 = SimulateTunnel(400, /*seed=*/62);
   const int offset = gt1.total_frames;
-  const JsonValue ingested2 = Parse(server.HandleLine(IngestLine(
+  const JsonValue ingested2 = Parse(server.HandleLine(IngestRequestLine(
       "camL", FramesFromTracks(gt2.tracks, gt2.total_frames, offset),
       ShiftIncidents(gt2.incidents, offset), /*cut=*/true, /*publish=*/true)));
   ASSERT_TRUE(IsOk(ingested2)) << WireError(ingested2);

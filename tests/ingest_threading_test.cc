@@ -23,6 +23,7 @@
 #include "ingest/camera_ingestor.h"
 #include "retrieval/session.h"
 #include "serve/corpus_manager.h"
+#include "serve/protocol.h"
 #include "trafficsim/scenarios.h"
 
 namespace mivid {
@@ -55,23 +56,6 @@ GroundTruth SimulateClip(int total_frames, uint64_t seed) {
   options.seed = seed;
   TrafficWorld world(MakeTunnelScenario(options));
   return world.Run();
-}
-
-std::vector<FrameObservations> FramesFromTracks(
-    const std::vector<Track>& tracks, int total_frames, int frame_offset) {
-  std::vector<FrameObservations> frames(total_frames);
-  for (int f = 0; f < total_frames; ++f) frames[f].frame = frame_offset + f;
-  for (const Track& track : tracks) {
-    for (const TrackPoint& point : track.points) {
-      if (point.frame < 0 || point.frame >= total_frames) continue;
-      TrackObservation obs;
-      obs.track_id = track.id;
-      obs.centroid = point.centroid;
-      obs.bbox = point.bbox;
-      frames[point.frame].observations.push_back(obs);
-    }
-  }
-  return frames;
 }
 
 /// TopBags of a fresh session over the epoch's dataset — the reader-side

@@ -34,7 +34,6 @@
 #include "db/epoch_manifest.h"
 #include "db/video_db.h"
 #include "fuzz_mutate.h"
-#include "ingest_lines.h"
 #include "obs/json.h"
 #include "obs/metrics_wire.h"
 #include "obs/trace_stitch.h"
@@ -211,7 +210,7 @@ std::vector<std::string> CapturedWireLines() {
   TrafficWorld world(MakeTunnelScenario(scenario));
   const GroundTruth gt = world.Run();
   const std::vector<FrameObservations> frames =
-      test::FramesFromTracks(gt.tracks, gt.total_frames);
+      FramesFromTracks(gt.tracks, gt.total_frames);
 
   std::vector<std::string> lines;
   auto call = [&](const std::string& line) {
@@ -223,10 +222,10 @@ std::vector<std::string> CapturedWireLines() {
   // The clip streams in two batches. The seed keeps the short last one,
   // which carries the incidents, cuts and publishes: every ingest field.
   const auto tail = frames.end() - 8;
-  call(test::IngestLine("camF", {frames.begin(), tail}, {}, false, false));
+  call(IngestRequestLine("camF", {frames.begin(), tail}, {}, false, false));
   lines.pop_back();
-  call(test::IngestLine("camF", {tail, frames.end()}, gt.incidents, true,
-                        true));
+  call(IngestRequestLine("camF", {tail, frames.end()}, gt.incidents, true,
+                         true));
   call(R"({"cmd":"open","session":"fz","camera":"camF","engine":"milrf"})");
   const std::string first = call(R"({"cmd":"rank","session":"fz","top":3})");
   Result<JsonValue> top = ParseJson(first);
@@ -558,6 +557,27 @@ TEST(ForeignJsonTest, HistogramCountMinusOneIsInvalidArgument) {
   EXPECT_EQ(snapshot->histograms.at("h").count, 3u);
 }
 
+TEST(ForeignJsonTest, HistogramMinAboveMaxIsInvalidArgument) {
+  // Every snapshot the decoder accepts is merged, as the coordinator's
+  // cluster_stats does: the merge clamps each percentile into
+  // [min, max], which is undefined once min > max.
+  auto read = [](int count, const char* min, const char* max) {
+    Result<MetricsSnapshot> snapshot = MetricsSnapshotFromWireJson(
+        Element(StrFormat(R"({"histograms":{"h":{"count":%d,"min":%s,)"
+                          R"("max":%s,"buckets":[%d]}}})",
+                          count, min, max, count)));
+    if (snapshot.ok()) MergeMetricsSnapshots({*snapshot, *snapshot});
+    return snapshot;
+  };
+  Result<MetricsSnapshot> inverted = read(2, "0.5", "0.25");
+  EXPECT_TRUE(inverted.status().IsInvalidArgument());
+  EXPECT_EQ(inverted.status().message(),
+            "metrics snapshot: histogram h has min > max");
+  EXPECT_TRUE(read(2, "0.25", "0.25").ok());
+  // An empty histogram carries no value, so its bounds are not checked.
+  EXPECT_TRUE(read(0, "0.5", "0.25").ok());
+}
+
 TEST(ForeignJsonTest, Counter1e30IsInvalidArgument) {
   for (const char* value : {"1e30", "-1", "0.5", "18446744073709551616"}) {
     SCOPED_TRACE(value);
@@ -803,8 +823,8 @@ std::vector<std::string> CapturedWorkerReplies() {
   TrafficWorld world(MakeTunnelScenario(scenario));
   const GroundTruth gt = world.Run();
   EXPECT_NE(server
-                .HandleLine(test::IngestLine(
-                    "camF", test::FramesFromTracks(gt.tracks, gt.total_frames),
+                .HandleLine(IngestRequestLine(
+                    "camF", FramesFromTracks(gt.tracks, gt.total_frames),
                     gt.incidents, true, true))
                 .find("\"ok\":true"),
             std::string::npos);

@@ -753,7 +753,7 @@ TEST(ServeServerTest, PingReportsWorkerIdentityAndShards) {
 
 TEST(ServeOptionsTest, ValidationFailsFast) {
   ServeOptions good;
-  good.socket_path = "/tmp/mivid_validate.sock";
+  good.daemon.socket_path = "/tmp/mivid_validate.sock";
   EXPECT_TRUE(ValidateServeOptions(good).ok());
 
   ServeOptions no_listener;
@@ -762,7 +762,7 @@ TEST(ServeOptionsTest, ValidationFailsFast) {
   EXPECT_TRUE(ValidateServeOptions(no_listener, /*will_listen=*/false).ok());
 
   ServeOptions bad_port = good;
-  bad_port.tcp_port = 70000;
+  bad_port.daemon.tcp_port = 70000;
   EXPECT_TRUE(ValidateServeOptions(bad_port).IsInvalidArgument());
 
   ServeOptions zero_top = good;

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -60,13 +61,41 @@ struct Args {
     if (value == nullptr) return true;  // absent: keep default
     return ParseInt64(*value, out);
   }
+
+  /// --name=V sets *out; absent keeps it.
+  void FlagString(std::string_view name, std::string* out) const {
+    if (const std::string* value = Flag(name)) *out = *value;
+  }
+
+  /// --name=N sets *out when N > 0; absent or N <= 0 keeps it. False
+  /// when N is not an integer.
+  template <typename T>
+  bool FlagPositive(std::string_view name, T* out) const {
+    int64_t v = 0;
+    if (!FlagInt(name, &v)) return false;
+    if (v > 0) *out = static_cast<T>(v);
+    return true;
+  }
+
+  /// --name=N sets *out (0 included); absent keeps it. False unless N is
+  /// an integer >= 0.
+  template <typename T>
+  bool FlagNonNegative(std::string_view name, T* out) const {
+    if (Flag(name) == nullptr) return true;
+    int64_t v = -1;
+    if (!FlagInt(name, &v) || v < 0) return false;
+    *out = static_cast<T>(v);
+    return true;
+  }
 };
 
-/// Splits raw argv words into positionals and --flag[=value] pairs.
-/// Flags listed in `value_flags` consume the next word when written
-/// without '='.
+/// Splits raw argv words into positionals and --flag[=value] pairs,
+/// accepting only the flags in `accepted` (space-separated names; a
+/// "name=" entry takes a value, and consumes the next word when written
+/// without '='). The first other flag is returned in `*unknown`.
 Args ParseArgs(const std::vector<std::string>& words,
-               const std::vector<std::string>& value_flags) {
+               const std::string& accepted, std::string* unknown) {
+  const std::string list = " " + accepted + " ";
   Args args;
   for (size_t i = 0; i < words.size(); ++i) {
     const std::string& w = words[i];
@@ -74,19 +103,17 @@ Args ParseArgs(const std::vector<std::string>& words,
       args.help = true;
     } else if (StartsWith(w, "--")) {
       const size_t eq = w.find('=');
-      if (eq != std::string::npos) {
-        args.flags.emplace_back(w.substr(2, eq - 2), w.substr(eq + 1));
+      std::string name = w.substr(2, eq == std::string::npos ? eq : eq - 2);
+      const bool valued = list.find(" " + name + "= ") != std::string::npos;
+      if (name.empty() ||
+          (!valued && list.find(" " + name + " ") == std::string::npos)) {
+        if (unknown->empty()) *unknown = w;
+      } else if (eq != std::string::npos) {
+        args.flags.emplace_back(std::move(name), w.substr(eq + 1));
+      } else if (valued && i + 1 < words.size()) {
+        args.flags.emplace_back(std::move(name), words[++i]);
       } else {
-        std::string name = w.substr(2);
-        bool wants_value = false;
-        for (const std::string& vf : value_flags) {
-          if (vf == name) wants_value = true;
-        }
-        if (wants_value && i + 1 < words.size()) {
-          args.flags.emplace_back(std::move(name), words[++i]);
-        } else {
-          args.flags.emplace_back(std::move(name), "");
-        }
+        args.flags.emplace_back(std::move(name), "");
       }
     } else {
       args.positional.push_back(w);
@@ -110,14 +137,30 @@ struct Subcommand {
   const char* help;      ///< one-line summary for the command list
   const char* details;   ///< extra lines for per-command --help ("" = none)
   int (*run)(const Args& args);
+  /// Every flag the command takes, space-separated; "name=" takes a value.
+  std::string flags;
 };
 
 const Subcommand* FindSubcommand(std::string_view name);
 const std::vector<Subcommand>& Subcommands();
 
+/// The flags every daemon (serve, coord) takes: its listeners and logs.
+constexpr const char* kDaemonFlags =
+    "tcp-port= tcp-host= access-log= slow-log= slow-ms=";
+
 int PrintCommandHelp(const Subcommand& cmd) {
   std::printf("usage: mivid_cli %s %s\n  %s\n", cmd.name, cmd.arg_spec,
               cmd.help);
+  if (StartsWith(cmd.flags, kDaemonFlags)) {
+    std::printf(
+        "  --tcp-port=N          also listen on TCP (0 = kernel-assigned;\n"
+        "                        the bound port is printed at startup)\n"
+        "  --tcp-host=<addr>     TCP bind address (127.0.0.1)\n"
+        "  --access-log=<file>   per-request JSON-lines access log\n"
+        "  --slow-log=<file>     requests over the slow threshold\n"
+        "  --slow-ms=N           slow threshold in ms (default\n"
+        "                        MIVID_SLOW_QUERY_MS or 500)\n");
+  }
   if (cmd.details[0] != '\0') std::printf("%s", cmd.details);
   return 0;
 }
@@ -313,59 +356,8 @@ int CmdSessions(const Args& args) {
 volatile std::sig_atomic_t g_signal = 0;
 void OnSignal(int) { g_signal = 1; }
 
-/// "none" as a socket-path positional disables the Unix-domain listener
-/// (TCP-only daemon).
-std::string SocketPathArg(const std::string& arg) {
-  return arg == "none" ? std::string() : arg;
-}
-
 // ---------------------------------------------------------------------------
 // stream: replay a simulated scenario into a live daemon's ingest API.
-
-/// Serializes one `ingest` request line. %.17g keeps every coordinate's
-/// JSON round-trip bit-exact, so a streamed corpus matches a batch
-/// rebuild bitwise (docs/ingest.md).
-std::string IngestRequestLine(const std::string& camera,
-                              const std::vector<FrameObservations>& frames,
-                              const std::vector<IncidentRecord>& incidents,
-                              bool cut, bool publish) {
-  std::string line = "{\"cmd\":\"ingest\",\"v\":\"" +
-                     std::string(kProtocolVersion) + "\",\"camera\":\"" +
-                     JsonEscape(camera) + "\",\"frames\":[";
-  for (size_t f = 0; f < frames.size(); ++f) {
-    if (f > 0) line += ',';
-    line += "{\"frame\":" + std::to_string(frames[f].frame) + ",\"obs\":[";
-    for (size_t o = 0; o < frames[f].observations.size(); ++o) {
-      const TrackObservation& obs = frames[f].observations[o];
-      if (o > 0) line += ',';
-      line += StrFormat(
-          "{\"track\":%d,\"x\":%.17g,\"y\":%.17g,"
-          "\"bbox\":[%.17g,%.17g,%.17g,%.17g]}",
-          obs.track_id, obs.centroid.x, obs.centroid.y, obs.bbox.min_x,
-          obs.bbox.min_y, obs.bbox.max_x, obs.bbox.max_y);
-    }
-    line += "]}";
-  }
-  line += "],\"incidents\":[";
-  for (size_t i = 0; i < incidents.size(); ++i) {
-    if (i > 0) line += ',';
-    line += StrFormat(
-        "{\"type\":\"%s\",\"begin\":%d,\"end\":%d,\"vehicles\":[",
-        IncidentTypeName(incidents[i].type), incidents[i].begin_frame,
-        incidents[i].end_frame);
-    for (size_t v = 0; v < incidents[i].vehicle_ids.size(); ++v) {
-      if (v > 0) line += ',';
-      line += std::to_string(incidents[i].vehicle_ids[v]);
-    }
-    line += "]}";
-  }
-  line += "],\"cut\":";
-  line += cut ? "true" : "false";
-  line += ",\"publish\":";
-  line += publish ? "true" : "false";
-  line += "}";
-  return line;
-}
 
 int CmdStream(const Args& args) {
   if (args.positional.size() != 2) return BadArgs(*FindSubcommand("stream"));
@@ -412,19 +404,8 @@ int CmdStream(const Args& args) {
     TrafficWorld world(spec);
     const GroundTruth gt = world.Run();
 
-    // Per-frame observation replay, shifted into absolute stream frames.
-    std::vector<FrameObservations> stream(gt.total_frames);
-    for (int f = 0; f < gt.total_frames; ++f) stream[f].frame = offset + f;
-    for (const Track& track : gt.tracks) {
-      for (const TrackPoint& point : track.points) {
-        if (point.frame < 0 || point.frame >= gt.total_frames) continue;
-        TrackObservation obs;
-        obs.track_id = track.id;
-        obs.centroid = point.centroid;
-        obs.bbox = point.bbox;
-        stream[point.frame].observations.push_back(obs);
-      }
-    }
+    const std::vector<FrameObservations> stream =
+        FramesFromTracks(gt.tracks, gt.total_frames, offset);
     std::vector<IncidentRecord> incidents = gt.incidents;
     for (IncidentRecord& incident : incidents) {
       incident.begin_frame += offset;
@@ -460,165 +441,107 @@ int CmdStream(const Args& args) {
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// Daemons: serve (a worker) and coord (the coordinator).
+
+/// Reads a daemon's socket-path positional ("none" = no Unix-domain
+/// listener, a TCP-only daemon) and its listener and log flags. False
+/// on a malformed value.
+bool ReadDaemonFlags(const Args& args, const std::string& socket_arg,
+                     DaemonOptions* options) {
+  options->socket_path = socket_arg == "none" ? std::string() : socket_arg;
+  args.FlagString("tcp-host", &options->tcp_host);
+  args.FlagString("access-log", &options->access_log_path);
+  args.FlagString("slow-log", &options->slow_log_path);
+  // --tcp-port=0 asks the kernel for a port.
+  return args.FlagNonNegative("tcp-port", &options->tcp_port) &&
+         args.FlagNonNegative("slow-ms", &options->slow_threshold_ms);
+}
+
+/// Starts `daemon`, prints "<name> on <socket> <banner>" and the bound
+/// TCP port, serves until SIGINT/SIGTERM or a shutdown request (running
+/// `tick` between waits), then stops it.
+int RunDaemon(LineDaemon& daemon, const char* name,
+              const DaemonOptions& options, const std::string& banner,
+              const std::function<void()>& tick) {
+  const Status started = daemon.Start();
+  if (!started.ok()) return Fail(started);
+  std::printf("%s on %s %s\n", name,
+              options.socket_path.empty() ? "(no socket)"
+                                          : options.socket_path.c_str(),
+              banner.c_str());
+  if (daemon.tcp_port() >= 0) {
+    // The resolved port line is what scripts grep when they ask for an
+    // ephemeral port with --tcp-port=0.
+    std::printf("%s tcp_port=%d\n", name, daemon.tcp_port());
+  }
+  std::fflush(stdout);
+
+  std::signal(SIGINT, OnSignal);
+  std::signal(SIGTERM, OnSignal);
+  while (g_signal == 0 && !daemon.WaitForShutdownFor(200)) {
+    if (tick) tick();
+  }
+  std::printf("%s: shutting down (%s)\n", name,
+              g_signal != 0 ? "signal" : "shutdown command");
+  daemon.Stop();
+  return 0;
+}
+
 int CmdServe(const Args& args) {
   if (args.positional.size() != 2) return BadArgs(*FindSubcommand("serve"));
   Result<std::unique_ptr<VideoDb>> db = OpenDb(args.positional[0], false);
   if (!db.ok()) return Fail(db.status());
 
   ServeOptions options;
-  options.socket_path = SocketPathArg(args.positional[1]);
-  if (const std::string* engine_name = args.Flag("engine")) {
-    if (!EngineRegistered(*engine_name)) {
-      return Fail(Status::InvalidArgument(
-          "unknown engine '" + *engine_name + "' (registered: " +
-          Join(RegisteredEngineNames(), ", ") + ")"));
-    }
-    options.default_engine = *engine_name;
-  }
-  int64_t v = 0;
-  if (!args.FlagInt("max-pending", &v)) return BadArgs(*FindSubcommand("serve"));
-  if (v > 0) options.max_pending = static_cast<size_t>(v);
-  v = 0;
-  if (!args.FlagInt("max-sessions", &v)) {
+  if (!ReadDaemonFlags(args, args.positional[1], &options.daemon) ||
+      !args.FlagPositive("max-pending", &options.max_pending) ||
+      !args.FlagPositive("max-sessions", &options.max_sessions) ||
+      !args.FlagPositive("idle-timeout-ms", &options.idle_timeout_ms) ||
+      !args.FlagPositive("top", &options.top_n)) {
     return BadArgs(*FindSubcommand("serve"));
   }
-  if (v > 0) options.max_sessions = static_cast<size_t>(v);
-  v = 0;
-  if (!args.FlagInt("idle-timeout-ms", &v)) {
-    return BadArgs(*FindSubcommand("serve"));
-  }
-  if (v > 0) options.idle_timeout_ms = v;
-  v = 0;
-  if (!args.FlagInt("top", &v)) return BadArgs(*FindSubcommand("serve"));
-  if (v > 0) options.top_n = static_cast<size_t>(v);
-  if (const std::string* dir = args.Flag("snapshot-dir")) {
-    options.corpus_snapshot_dir = *dir;
-  }
-  // --tcp-port admits 0 (kernel-assigned), so presence matters, not sign.
-  if (args.Flag("tcp-port") != nullptr) {
-    v = -1;
-    if (!args.FlagInt("tcp-port", &v) || v < 0) {
-      return BadArgs(*FindSubcommand("serve"));
-    }
-    options.tcp_port = static_cast<int>(v);
-  }
-  if (const std::string* host = args.Flag("tcp-host")) {
-    options.tcp_host = *host;
-  }
-  if (const std::string* id = args.Flag("worker-id")) {
-    options.worker_id = *id;
-  }
-  if (const std::string* path = args.Flag("access-log")) {
-    options.access_log_path = *path;
-  }
-  if (const std::string* path = args.Flag("slow-log")) {
-    options.slow_log_path = *path;
-  }
-  if (args.Flag("slow-ms") != nullptr) {
-    v = -1;
-    if (!args.FlagInt("slow-ms", &v) || v < 0) {
-      return BadArgs(*FindSubcommand("serve"));
-    }
-    options.slow_threshold_ms = static_cast<double>(v);
-  }
-
-  // Fail fast on inconsistent options before any socket is bound.
-  const Status valid = ValidateServeOptions(options);
-  if (!valid.ok()) return Fail(valid);
+  args.FlagString("engine", &options.default_engine);
+  args.FlagString("snapshot-dir", &options.corpus_snapshot_dir);
+  args.FlagString("worker-id", &options.worker_id);
 
   // Tag this process's log lines and trace export with its fleet role.
   SetLogIdentity(options.worker_id.empty() ? "serve" : options.worker_id);
 
   RetrievalServer server(db.value().get(), options);
-  const Status started = server.Start();
-  if (!started.ok()) return Fail(started);
-  std::printf("mivid_serve on %s (engine=%s, max_pending=%zu, "
-              "max_sessions=%zu)\n",
-              options.socket_path.empty() ? "(no socket)"
-                                          : options.socket_path.c_str(),
-              options.default_engine.c_str(), options.max_pending,
-              options.max_sessions);
-  if (server.tcp_port() >= 0) {
-    // The resolved port line is what scripts grep when they ask for an
-    // ephemeral port with --tcp-port=0.
-    std::printf("mivid_serve tcp_port=%d\n", server.tcp_port());
-  }
-  std::fflush(stdout);
-
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-  while (g_signal == 0 && !server.WaitForShutdownFor(200)) {
-  }
-  std::printf("mivid_serve: shutting down (%s)\n",
-              g_signal != 0 ? "signal" : "shutdown command");
-  server.Stop();
-  return 0;
+  return RunDaemon(
+      server, "mivid_serve", options.daemon,
+      StrFormat("(engine=%s, max_pending=%zu, max_sessions=%zu)",
+                options.default_engine.c_str(), options.max_pending,
+                options.max_sessions),
+      nullptr);
 }
 
 int CmdCoord(const Args& args) {
   if (args.positional.size() != 1) return BadArgs(*FindSubcommand("coord"));
 
   CoordinatorOptions options;
-  options.socket_path = SocketPathArg(args.positional[0]);
   const std::string* workers = args.Flag("workers");
-  int64_t spawn_workers = 0;
-  if (!args.FlagInt("spawn-workers", &spawn_workers) || spawn_workers < 0) {
-    return BadArgs(*FindSubcommand("coord"));
-  }
+  int spawn_workers = 0;
+  int replication = 0;
   // Worker endpoints come from --workers, from the supervisor
   // (--spawn-workers), or both.
-  if (workers == nullptr && spawn_workers == 0) {
+  if (!args.FlagNonNegative("spawn-workers", &spawn_workers) ||
+      (workers == nullptr && spawn_workers == 0) ||
+      !ReadDaemonFlags(args, args.positional[0], &options.daemon) ||
+      !args.FlagPositive("top", &options.top_n) ||
+      !args.FlagPositive("heartbeat-ms", &options.heartbeat_ms) ||
+      !args.FlagPositive("vnodes", &options.virtual_nodes) ||
+      !args.FlagNonNegative("rpc-deadline-ms", &options.rpc_deadline_ms) ||
+      !args.FlagNonNegative("replication", &replication)) {
     return BadArgs(*FindSubcommand("coord"));
   }
+  if (replication > 0) options.replication = replication;
   if (workers != nullptr) {
     for (const std::string& endpoint : Split(*workers, ',')) {
       if (!endpoint.empty()) options.workers.push_back(endpoint);
     }
   }
-  int64_t v = 0;
-  if (!args.FlagInt("top", &v)) return BadArgs(*FindSubcommand("coord"));
-  if (v > 0) options.top_n = static_cast<int>(v);
-  if (args.Flag("tcp-port") != nullptr) {
-    v = -1;
-    if (!args.FlagInt("tcp-port", &v) || v < 0) {
-      return BadArgs(*FindSubcommand("coord"));
-    }
-    options.tcp_port = static_cast<int>(v);
-  }
-  if (const std::string* host = args.Flag("tcp-host")) {
-    options.tcp_host = *host;
-  }
-  v = 0;
-  if (!args.FlagInt("heartbeat-ms", &v)) return BadArgs(*FindSubcommand("coord"));
-  if (v > 0) options.heartbeat_ms = static_cast<int>(v);
-  v = 0;
-  if (!args.FlagInt("vnodes", &v)) return BadArgs(*FindSubcommand("coord"));
-  if (v > 0) options.virtual_nodes = static_cast<size_t>(v);
-  if (const std::string* path = args.Flag("access-log")) {
-    options.access_log_path = *path;
-  }
-  if (const std::string* path = args.Flag("slow-log")) {
-    options.slow_log_path = *path;
-  }
-  if (args.Flag("slow-ms") != nullptr) {
-    v = -1;
-    if (!args.FlagInt("slow-ms", &v) || v < 0) {
-      return BadArgs(*FindSubcommand("coord"));
-    }
-    options.slow_threshold_ms = static_cast<double>(v);
-  }
-  if (args.Flag("rpc-deadline-ms") != nullptr) {
-    v = -1;
-    if (!args.FlagInt("rpc-deadline-ms", &v) || v < 0) {
-      return BadArgs(*FindSubcommand("coord"));
-    }
-    options.rpc_deadline_ms = static_cast<int>(v);
-  }
-  v = 0;
-  if (!args.FlagInt("replication", &v) || v < 0) {
-    return BadArgs(*FindSubcommand("coord"));
-  }
-  if (v > 0) options.replication = static_cast<int>(v);
 
   SetLogIdentity("coord");
 
@@ -642,10 +565,8 @@ int CmdCoord(const Args& args) {
     exe[n] = '\0';
     sup.cli_path = exe;
     sup.db_path = *db;
-    sup.count = static_cast<int>(spawn_workers);
-    if (const std::string* dir = args.Flag("worker-log-dir")) {
-      sup.log_dir = *dir;
-    }
+    sup.count = spawn_workers;
+    args.FlagString("worker-log-dir", &sup.log_dir);
     supervisor = std::make_unique<WorkerSupervisor>(std::move(sup));
     const Status spawned = supervisor->SpawnAll();
     if (!spawned.ok()) return Fail(spawned);
@@ -657,31 +578,15 @@ int CmdCoord(const Args& args) {
     if (options.heartbeat_ms == 0) options.heartbeat_ms = 500;
   }
 
-  const Status valid = ValidateCoordinatorOptions(options);
-  if (!valid.ok()) return Fail(valid);
-
   Coordinator coord(options);
-  const Status started = coord.Start();
-  if (!started.ok()) return Fail(started);
-  std::printf("mivid_coord on %s fronting %zu worker(s)\n",
-              options.socket_path.empty() ? "(no socket)"
-                                          : options.socket_path.c_str(),
-              options.workers.size());
-  if (coord.tcp_port() >= 0) {
-    std::printf("mivid_coord tcp_port=%d\n", coord.tcp_port());
-  }
-  std::fflush(stdout);
-
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-  while (g_signal == 0 && !coord.WaitForShutdownFor(200)) {
-    if (supervisor != nullptr) supervisor->Sweep();
-  }
-  std::printf("mivid_coord: shutting down (%s)\n",
-              g_signal != 0 ? "signal" : "shutdown command");
-  coord.Stop();
+  const int rc = RunDaemon(
+      coord, "mivid_coord", options.daemon,
+      StrFormat("fronting %zu worker(s)", options.workers.size()),
+      [&supervisor] {
+        if (supervisor != nullptr) supervisor->Sweep();
+      });
   if (supervisor != nullptr) supervisor->StopAll();
-  return 0;
+  return rc;
 }
 
 // ---------------------------------------------------------------------------
@@ -706,10 +611,8 @@ int CmdTop(const Args& args) {
   if (args.positional.size() != 1) return BadArgs(*FindSubcommand("top"));
   int64_t interval_ms = 2000;
   int64_t iterations = 0;
-  if (!args.FlagInt("interval-ms", &interval_ms) || interval_ms <= 0) {
-    return BadArgs(*FindSubcommand("top"));
-  }
-  if (!args.FlagInt("iterations", &iterations) || iterations < 0) {
+  if (!args.FlagInt("interval-ms", &interval_ms) || interval_ms <= 0 ||
+      !args.FlagNonNegative("iterations", &iterations)) {
     return BadArgs(*FindSubcommand("top"));
   }
 
@@ -898,21 +801,22 @@ int CmdTraceMerge(const Args& args) {
 
 const std::vector<Subcommand>& Subcommands() {
   static const std::vector<Subcommand> kCommands = {
-      {"init", "<db>", "create an empty database", "", CmdInit},
+      {"init", "<db>", "create an empty database", "", CmdInit, ""},
       {"simulate", "<db> <tunnel|intersection> <camera-id> [frames]",
        "simulate a traffic scenario and ingest it as a clip",
        "  tunnel        straight road, stalled-vehicle incidents\n"
        "  intersection  crossing roads, accident incidents\n",
-       CmdSimulate},
-      {"list", "<db>", "show catalog and cameras", "", CmdList},
+       CmdSimulate, ""},
+      {"list", "<db>", "show catalog and cameras", "", CmdList, ""},
       {"query", "<db> <camera-id> [rounds] [--engine=<name>]",
        "run an accident query with oracle feedback",
        "  --engine=<name>  retrieval engine for the session\n"
        "                   (see 'mivid_cli engines'; default milrf)\n",
-       CmdQuery},
+       CmdQuery, "engine="},
       {"sessions", "<db>", "list journaled retrieval sessions", "",
-       CmdSessions},
-      {"engines", "", "list registered retrieval engines", "", CmdEngines},
+       CmdSessions, ""},
+      {"engines", "", "list registered retrieval engines", "", CmdEngines,
+       ""},
       {"serve", "<db> <socket-path|none> [flags]",
        "host the retrieval daemon (worker) on a Unix socket and/or TCP",
        "  --engine=<name>       default engine for new sessions (milrf)\n"
@@ -923,17 +827,13 @@ const std::vector<Subcommand>& Subcommands() {
        "  --top=N               results per round (20)\n"
        "  --snapshot-dir=<dir>  cache packed corpus snapshots here for\n"
        "                        zero-copy mmap loads on later starts\n"
-       "  --tcp-port=N          also listen on TCP (0 = kernel-assigned;\n"
-       "                        the bound port is printed at startup)\n"
-       "  --tcp-host=<addr>     TCP bind address (127.0.0.1)\n"
        "  --worker-id=<id>      fleet identity reported by ping/stats\n"
-       "  --access-log=<file>   per-request JSON-lines access log\n"
-       "  --slow-log=<file>     requests over the slow threshold\n"
-       "  --slow-ms=N           slow threshold in ms (default\n"
-       "                        MIVID_SLOW_QUERY_MS or 500)\n"
        "  stops on SIGINT/SIGTERM or a {\"cmd\":\"shutdown\"} request;\n"
        "  sessions are journaled to the database either way\n",
-       CmdServe},
+       CmdServe,
+       kDaemonFlags + std::string(" engine= max-pending= max-sessions= "
+                                  "idle-timeout-ms= top= snapshot-dir= "
+                                  "worker-id=")},
       {"stream", "<endpoint> <camera-id> [flags]",
        "replay a simulated scenario into a live daemon's ingest API",
        "  --scenario=<name>  tunnel or intersection (tunnel)\n"
@@ -949,7 +849,8 @@ const std::vector<Subcommand>& Subcommands() {
        "  streams per-frame track observations as ingest requests, so\n"
        "  the camera becomes searchable while 'video' is still arriving;\n"
        "  each clip's incidents are annotated on its final request\n",
-       CmdStream},
+       CmdStream,
+       "scenario= clips= frames= batch= seed= frame-offset= no-publish"},
       {"coord", "<socket-path|none> --workers=<ep,ep,...> [flags]",
        "front a worker fleet with the cluster coordinator",
        "  --workers=<eps>       comma-separated worker endpoints\n"
@@ -961,8 +862,6 @@ const std::vector<Subcommand>& Subcommands() {
        "  --db=<database>       database the spawned workers serve\n"
        "  --worker-log-dir=<d>  spawned workers' stdout/stderr logs (.)\n"
        "  --top=N               default rank depth (20)\n"
-       "  --tcp-port=N          also listen on TCP (0 = kernel-assigned)\n"
-       "  --tcp-host=<addr>     TCP bind address (127.0.0.1)\n"
        "  --heartbeat-ms=N      probe workers every N ms and re-admit\n"
        "                        restarted ones (off: lazy failover only;\n"
        "                        forced to 500 under --spawn-workers)\n"
@@ -973,13 +872,12 @@ const std::vector<Subcommand>& Subcommands() {
        "  --replication=R       open each camera's session on R distinct\n"
        "                        workers; rank is served by the fastest\n"
        "                        live replica with hedged retry (1)\n"
-       "  --access-log=<file>   per-request JSON-lines access log\n"
-       "  --slow-log=<file>     requests over the slow threshold\n"
-       "  --slow-ms=N           slow threshold in ms (default\n"
-       "                        MIVID_SLOW_QUERY_MS or 500)\n"
        "  speaks the same protocol as serve; single-camera sessions are\n"
        "  passthrough, open with \"cameras\":[...] scatter-gathers rank\n",
-       CmdCoord},
+       CmdCoord,
+       kDaemonFlags + std::string(" workers= spawn-workers= db= "
+                                  "worker-log-dir= top= heartbeat-ms= vnodes= "
+                                  "rpc-deadline-ms= replication=")},
       {"top", "<endpoint> [--interval-ms=N] [--iterations=N]",
        "live fleet dashboard polling cluster_stats",
        "  polls {\"cmd\":\"cluster_stats\"} on a coordinator (or a single\n"
@@ -988,14 +886,14 @@ const std::vector<Subcommand>& Subcommands() {
        "  open sessions, corpus cache hit rate, and snapshot hits.\n"
        "  --interval-ms=N   poll interval (2000)\n"
        "  --iterations=N    stop after N polls (0 = until SIGINT)\n",
-       CmdTop},
+       CmdTop, "interval-ms= iterations="},
       {"trace-merge", "<out.json> <in.json> [in.json ...]",
        "stitch per-process Chrome traces into one cluster timeline",
        "  each input is one process's --trace export; events are rebased\n"
        "  onto a shared wall-clock timeline using the embedded clock_sync\n"
        "  metadata and re-emitted under per-process pids. Open the output\n"
        "  in Perfetto / chrome://tracing.\n",
-       CmdTraceMerge},
+       CmdTraceMerge, ""},
   };
   return kCommands;
 }
@@ -1033,15 +931,16 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
+  std::string unknown;
   const Args args = ParseArgs(
-      std::vector<std::string>(words.begin() + 1, words.end()),
-      {"engine", "max-pending", "max-sessions", "idle-timeout-ms", "top",
-       "snapshot-dir", "tcp-port", "tcp-host", "worker-id", "workers",
-       "heartbeat-ms", "vnodes", "access-log", "slow-log", "slow-ms",
-       "interval-ms", "iterations", "rpc-deadline-ms", "replication",
-       "spawn-workers", "db", "worker-log-dir", "scenario", "clips", "frames",
-       "batch", "seed", "frame-offset"});
+      std::vector<std::string>(words.begin() + 1, words.end()), cmd->flags,
+      &unknown);
   if (args.help) return PrintCommandHelp(*cmd);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag '%s' for '%s'\n", unknown.c_str(),
+                 cmd->name);
+    return BadArgs(*cmd);
+  }
 
   // Dispatch, then flush the requested observability outputs regardless
   // of which command ran (but not on usage errors).
